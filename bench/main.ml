@@ -1256,10 +1256,21 @@ let e16 () =
 (* E17: durable persistence — compaction, recovery latency, quorum   *)
 (* ---------------------------------------------------------------- *)
 
-(* One monitored run of [duration] simulated seconds with the journal
-   mirrored to a temp file; returns (entries, file bytes, recover µs,
-   digest parity with the live snapshot). *)
-let e17_persistence_run ~seed ~duration ~auto_compact =
+let persist_rm_rf dir =
+  if Sys.file_exists dir && Sys.is_directory dir then begin
+    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+    Unix.rmdir dir
+  end
+
+let persist_tmp_dir () =
+  let dir = Filename.temp_file "rvaas_store" "" in
+  Sys.remove dir;
+  dir
+
+(* One monitored run (linear-4, 20 ms polling, checkpoint every 32)
+   mirrored into a segmented store of 2 KiB segments under [dir];
+   shared by E17 and E21. *)
+let persist_store_run ~seed ~duration ~encrypt ~auto_compact ~dir =
   let topo = Workload.Topogen.linear Workload.Topogen.default_params 4 in
   let s =
     Workload.Scenario.build
@@ -1274,41 +1285,38 @@ let e17_persistence_run ~seed ~duration ~auto_compact =
               checkpoint_every = 32;
               auto_compact;
             };
+        persist =
+          Some
+            {
+              Workload.Scenario.p_dir = dir;
+              p_segment_bytes = 2048;
+              p_encrypt = encrypt;
+            };
       }
   in
-  let ctrl = Workload.Scenario.controller s in
-  let log = Rvaas.Journal.log (Rvaas.Failover.journal ctrl) in
-  let path = Filename.temp_file "rvaas_e17" ".rvjl" in
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter
-        (fun p -> try Sys.remove p with Sys_error _ -> ())
-        [ path; path ^ ".tmp" ])
-    (fun () ->
-      let file = Support.Journal_file.attach log ~path in
-      Workload.Scenario.run s ~until:duration;
-      Support.Journal_file.sync file;
-      let bytes = (Unix.stat path).Unix.st_size in
-      let live =
-        Rvaas.Snapshot.digest_vector
-          (Rvaas.Monitor.snapshot (Workload.Scenario.monitor s))
-      in
-      match Support.Journal_file.recover_from_file path with
-      | Error e -> failwith ("E17: recover_from_file: " ^ e)
-      | Ok log' ->
-        let t0 = Unix.gettimeofday () in
-        let reps = 20 in
-        let r = ref (Rvaas.Journal.recover log') in
-        for _ = 2 to reps do
-          r := Rvaas.Journal.recover log'
-        done;
-        let recover_us =
-          1e6 *. (Unix.gettimeofday () -. t0) /. float_of_int reps
-        in
-        let parity =
-          live = Rvaas.Snapshot.digest_vector !r.Rvaas.Journal.snapshot
-        in
-        (Support.Journal.length log', bytes, recover_us, parity))
+  Workload.Scenario.run s ~until:duration;
+  let store = Workload.Scenario.store s in
+  Support.Segment_store.sync store;
+  let live =
+    Rvaas.Snapshot.digest_vector
+      (Rvaas.Monitor.snapshot (Workload.Scenario.monitor s))
+  in
+  (s, store, live, Workload.Scenario.storage_key s)
+
+(* Mean recovery latency (us) plus the recovered journal. *)
+let persist_timed_recover ?crypt dir =
+  match Support.Segment_store.recover_from_dir ?crypt dir with
+  | Error e -> Error e
+  | Ok first ->
+    let t0 = Unix.gettimeofday () in
+    let reps = 10 in
+    let log = ref first in
+    for _ = 1 to reps do
+      match Support.Segment_store.recover_from_dir ?crypt dir with
+      | Ok l -> log := l
+      | Error e -> failwith ("recover_from_dir: " ^ e)
+    done;
+    Ok (!log, 1e6 *. (Unix.gettimeofday () -. t0) /. float_of_int reps)
 
 (* One crash trial with [standbys] warm standbys; returns the takeover
    report (quorum election among the standbys decides the winner). *)
@@ -1339,9 +1347,10 @@ let e17_takeover_trial ~seed ~standbys =
 let e17 () =
   section
     "E17: durable persistence (linear-4, 20 ms polling, checkpoint every 32).\n\
-     (a) on-disk journal growth and recovery latency with compaction off vs\n\
-     on; (b) takeover latency with 1 vs 3 warm standbys (journalled-claim\n\
-     quorum election, 10 ms heartbeats, 50 ms takeover timeout)";
+     (a) segmented-store growth (2 KiB segments) and recovery latency from\n\
+     disk with compaction off vs on; (b) takeover latency with 1 vs 3 warm\n\
+     standbys (journalled-claim quorum election, 10 ms heartbeats, 50 ms\n\
+     takeover timeout)";
   let strict = Sys.getenv_opt "RVAAS_E17_STRICT" <> None in
   let failures = ref 0 in
   Printf.printf "%-9s %-8s | %8s %10s %12s %7s\n" "duration" "compact" "entries"
@@ -1351,16 +1360,32 @@ let e17 () =
     (fun duration ->
       List.iter
         (fun auto_compact ->
-          let entries, bytes, recover_us, parity =
-            e17_persistence_run ~seed:42 ~duration ~auto_compact
-          in
-          if not parity then incr failures;
-          if strict && auto_compact && entries > 64 then incr failures;
-          Hashtbl.replace compact_bytes (duration, auto_compact) bytes;
-          Printf.printf "%7.1fs %-9s | %8d %10d %12.1f %7s\n" duration
-            (if auto_compact then "on" else "off")
-            entries bytes recover_us
-            (if parity then "ok" else "MISMATCH"))
+          let dir = persist_tmp_dir () in
+          Fun.protect
+            ~finally:(fun () -> persist_rm_rf dir)
+            (fun () ->
+              let _, store, live, _ =
+                persist_store_run ~seed:42 ~duration ~encrypt:false
+                  ~auto_compact ~dir
+              in
+              let bytes = Support.Segment_store.written_bytes store in
+              Support.Segment_store.close store;
+              match persist_timed_recover dir with
+              | Error e -> failwith ("E17: recover_from_dir: " ^ e)
+              | Ok (log', recover_us) ->
+                let entries = Support.Journal.length log' in
+                let parity =
+                  live
+                  = Rvaas.Snapshot.digest_vector
+                      (Rvaas.Journal.recover log').Rvaas.Journal.snapshot
+                in
+                if not parity then incr failures;
+                if strict && auto_compact && entries > 64 then incr failures;
+                Hashtbl.replace compact_bytes (duration, auto_compact) bytes;
+                Printf.printf "%7.1fs %-9s | %8d %10d %12.1f %7s\n" duration
+                  (if auto_compact then "on" else "off")
+                  entries bytes recover_us
+                  (if parity then "ok" else "MISMATCH")))
         [ false; true ])
     [ 0.5; 1.0; 2.0 ];
   (match
@@ -1369,7 +1394,7 @@ let e17 () =
    with
   | Some on, Some off when strict && on >= off ->
     incr failures;
-    Printf.printf "E17 strict: compaction did not shrink the image (%d >= %d)\n"
+    Printf.printf "E17 strict: compaction did not shrink the store (%d >= %d)\n"
       on off
   | _ -> ());
   Printf.printf "%-5s %8s | %10s %10s %6s %4s\n" "seed" "standbys" "detect(ms)"
@@ -2211,17 +2236,6 @@ let e20 () =
 (* quorum elections, encryption-at-rest                              *)
 (* ---------------------------------------------------------------- *)
 
-let e21_rm_rf dir =
-  if Sys.file_exists dir && Sys.is_directory dir then begin
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-    Unix.rmdir dir
-  end
-
-let e21_tmp_dir () =
-  let dir = Filename.temp_file "rvaas_e21" "" in
-  Sys.remove dir;
-  dir
-
 let e21_read_file path =
   let ic = open_in_bin path in
   let n = in_channel_length ic in
@@ -2241,55 +2255,6 @@ let e21_is_prefix xs ys =
     | x :: xs, y :: ys -> x = y && go (xs, ys)
   in
   go (xs, ys)
-
-(* One monitored run mirrored into a segmented store under [dir]. *)
-let e21_store_run ~seed ~duration ~encrypt ~auto_compact ~dir =
-  let topo = Workload.Topogen.linear Workload.Topogen.default_params 4 in
-  let s =
-    Workload.Scenario.build
-      {
-        (Workload.Scenario.default_spec topo) with
-        seed;
-        polling = Rvaas.Monitor.Periodic 0.02;
-        ha =
-          Some
-            {
-              Rvaas.Failover.default_config with
-              checkpoint_every = 32;
-              auto_compact;
-            };
-        persist =
-          Some
-            {
-              Workload.Scenario.p_dir = dir;
-              p_segment_bytes = 2048;
-              p_encrypt = encrypt;
-            };
-      }
-  in
-  Workload.Scenario.run s ~until:duration;
-  let store = Workload.Scenario.store s in
-  Support.Segment_store.sync store;
-  let live =
-    Rvaas.Snapshot.digest_vector
-      (Rvaas.Monitor.snapshot (Workload.Scenario.monitor s))
-  in
-  (s, store, live, Workload.Scenario.storage_key s)
-
-(* Mean recovery latency (us) plus the recovered journal. *)
-let e21_timed_recover ?crypt dir =
-  match Support.Segment_store.recover_from_dir ?crypt dir with
-  | Error e -> Error e
-  | Ok first ->
-    let t0 = Unix.gettimeofday () in
-    let reps = 10 in
-    let log = ref first in
-    for _ = 1 to reps do
-      match Support.Segment_store.recover_from_dir ?crypt dir with
-      | Ok l -> log := l
-      | Error e -> failwith ("E21: recover_from_dir: " ^ e)
-    done;
-    Ok (!log, 1e6 *. (Unix.gettimeofday () -. t0) /. float_of_int reps)
 
 (* Crash matrix over one store directory: every crash state is a
    prefix of the write stream — later segment files absent, the torn
@@ -2386,12 +2351,12 @@ let e21 () =
   let bytes_by_mode = Hashtbl.create 4 in
   List.iter
     (fun auto_compact ->
-      let dir = e21_tmp_dir () in
+      let dir = persist_tmp_dir () in
       Fun.protect
-        ~finally:(fun () -> e21_rm_rf dir)
+        ~finally:(fun () -> persist_rm_rf dir)
         (fun () ->
           let s, store, live, _ =
-            e21_store_run ~seed:42 ~duration:1.5 ~encrypt:false ~auto_compact
+            persist_store_run ~seed:42 ~duration:1.5 ~encrypt:false ~auto_compact
               ~dir
           in
           (if not auto_compact then begin
@@ -2425,7 +2390,7 @@ let e21 () =
              if strict && (deleted = 0 || rewritten > 0) then incr failures
            end);
           Support.Segment_store.close store;
-          match e21_timed_recover dir with
+          match persist_timed_recover dir with
           | Error e -> failwith ("E21: recover_from_dir: " ^ e)
           | Ok (log', recover_us) ->
             let r = Rvaas.Journal.recover log' in
@@ -2487,18 +2452,18 @@ let e21 () =
     print_endline "E21 strict: no winner ever reconciled in-transit frames"
   end;
   (* -- (c) encryption-at-rest --------------------------------------- *)
-  let dir = e21_tmp_dir () in
+  let dir = persist_tmp_dir () in
   Fun.protect
-    ~finally:(fun () -> e21_rm_rf dir)
+    ~finally:(fun () -> persist_rm_rf dir)
     (fun () ->
       let _, store, live, key =
-        e21_store_run ~seed:7 ~duration:1.0 ~encrypt:true ~auto_compact:false
+        persist_store_run ~seed:7 ~duration:1.0 ~encrypt:true ~auto_compact:false
           ~dir
       in
       let sealed = Support.Segment_store.sealed_paths store in
       Support.Segment_store.close store;
       let crypt = Cryptosim.Atrest.crypt ~key in
-      match e21_timed_recover ~crypt dir with
+      match persist_timed_recover ~crypt dir with
       | Error e -> failwith ("E21: encrypted recover: " ^ e)
       | Ok (log', recover_us) ->
         let r = Rvaas.Journal.recover log' in

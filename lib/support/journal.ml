@@ -7,14 +7,14 @@ type entry = {
   checksum : int64;
 }
 
-(* A backend (e.g. [Journal_file], [Segment_store]) mirrors the
-   in-memory log onto durable storage; replica tails ([Replica]) are
-   sinks too, so several can be attached at once.  [on_append] sees
-   every new entry, [on_sync] must not return until prior appends are
-   durable, [on_roll] marks a segment boundary (segmented backends
-   seal the active segment; others ignore it), [on_rewrite] is told
-   the whole image changed wholesale (compaction) and must replace its
-   copy atomically. *)
+(* A backend ([Segment_store]) mirrors the in-memory log onto durable
+   storage; replica tails ([Replica]) are sinks too, so several can be
+   attached at once.  [on_append] sees every new entry, [on_sync] must
+   not return until prior appends are durable, [on_roll] marks a
+   segment boundary (the segment store seals its active segment;
+   replicas ignore it), [on_rewrite] is told compaction moved the
+   chain base (the store unlinks sealed segments below it, a replica
+   resyncs from a fresh image). *)
 type sink = {
   on_append : entry -> unit;
   on_sync : unit -> unit;
@@ -103,8 +103,6 @@ let last_at t = match t.rev_entries with [] -> None | e :: _ -> Some e.at
 
 let attach t sink = t.sinks <- t.sinks @ [ sink ]
 
-let detach t = t.sinks <- []
-
 let detach_sink t sink = t.sinks <- List.filter (fun s -> s != sink) t.sinks
 
 let sync t = List.iter (fun s -> s.on_sync ()) t.sinks
@@ -174,8 +172,8 @@ let valid_prefix t =
    checksum chain is sequential — so the base moves to the newest
    dropped entry and the retained suffix (whose first link hashes over
    that entry's checksum) verifies unchanged.  Generation numbers and
-   the audit trail of the retained entries are untouched.  The backend
-   (if any) is told to rewrite its image atomically. *)
+   the audit trail of the retained entries are untouched.  Attached
+   sinks are told through [on_rewrite]. *)
 let compact t ~upto_seq =
   if upto_seq > t.base_seq then begin
     let kept, dropped =
@@ -260,24 +258,20 @@ let encode_entry e =
   Buffer.contents b
 
 (* The header count is an upper bound for the decoder, not a promise:
-   file backends write [open_count] so entries appended after the
-   header was laid down still decode (the loop just runs until the
-   bytes run out). *)
+   active segments and synthesized recovery images carry [open_count]
+   so entries appended after the header was laid down still decode
+   (the loop just runs until the bytes run out). *)
 let open_count = max_int
 
-let encode_with ~count t =
+let encode t =
   let b = Buffer.create 1024 in
   Buffer.add_string b magic;
   w_int b t.base_seq;
   w_int b t.base_gen;
   w_i64 b t.base_checksum;
-  w_int b count;
+  w_int b t.count;
   List.iter (w_entry b) (entries t);
   Buffer.contents b
-
-let encode t = encode_with ~count:t.count t
-
-let encode_open t = encode_with ~count:open_count t
 
 (* Decode keeps the checksum-valid prefix and silently drops any
    corrupt or truncated tail — the durable-log recovery contract. *)

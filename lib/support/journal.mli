@@ -27,7 +27,7 @@
     unchanged and sequence/generation numbering is preserved.
 
     Backends: a {!sink} mirrors the log onto durable storage
-    ([Journal_file] is the file-backed one); callers stay
+    ([Segment_store]) or a replica tail ([Replica]); callers stay
     backend-agnostic — they only ever talk to this module. *)
 
 type entry = {
@@ -123,9 +123,9 @@ val iter_valid : t -> f:(entry -> unit) -> int
     checksum chain, sequence numbering and generation audit trail of
     the retained suffix.  The caller is responsible for only cutting
     at a point covered by a newer verified checkpoint (the typed
-    layer, [Rvaas.Journal.compact], enforces this).  An attached
-    backend is told to rewrite its image atomically.  No-op when
-    nothing would be dropped. *)
+    layer, [Rvaas.Journal.compact], enforces this).  Attached backends
+    are told through [on_rewrite].  No-op when nothing would be
+    dropped. *)
 val compact : t -> upto_seq:int -> unit
 
 (** {1 Backends}
@@ -143,18 +143,17 @@ type sink = {
       (** a segment boundary: segmented backends seal the active
           segment and start a fresh one; others ignore it *)
   on_rewrite : unit -> unit;
-      (** the image changed wholesale (compaction); replace atomically *)
+      (** compaction moved the chain base: the segment store unlinks
+          sealed segments below it, a replica resyncs from a fresh
+          image *)
 }
 
 (** [attach t sink] adds a backend.  Several sinks can be attached at
     once (a durable store plus replica tails); they are notified in
     attach order.  A sink does NOT retroactively see existing entries —
-    backends write the current image on attach ([Journal_file.attach]
-    does). *)
+    backends write the current entries on attach
+    ([Segment_store.attach] does). *)
 val attach : t -> sink -> unit
-
-(** [detach t] removes every attached sink. *)
-val detach : t -> unit
 
 (** [detach_sink t sink] removes exactly [sink] (physical equality),
     leaving other backends attached. *)
@@ -183,19 +182,13 @@ val roll : t -> unit
 
 val encode : t -> string
 
-(** [encode_open t] is [encode t] with an open-ended entry count in
-    the header: the decoder treats the count as an upper bound, so a
-    file backend can lay down this image once and keep appending
-    {!encode_entry} frames after it. *)
-val encode_open : t -> string
-
 (** [encode_entry e] is the wire frame of a single entry, exactly as
     it appears in an image after the header. *)
 val encode_entry : entry -> string
 
-(** The open-ended header count written by {!encode_open}: the decoder
-    treats it as an upper bound.  Segmented backends write it into
-    active-segment headers and synthesized recovery images. *)
+(** An open-ended header count: the decoder treats it as an upper
+    bound.  The segment store writes it into active-segment headers
+    and synthesized recovery images. *)
 val open_count : int
 
 val decode : string -> (t, string) result

@@ -1,12 +1,12 @@
-(* Segmented journal store: the RVJL1 single-file image split into
+(* Segmented journal store: the RVJL1 journal laid out on disk as
    sealed segments plus one active segment.
 
    Layout: a directory holding [seg-NNNNNN.rvsg] (sealed, immutable)
    and at most one [seg-NNNNNN.act] (active).  Each segment carries
    its own chain base (the checksum root under its first entry), so
    recovery concatenates segments oldest-first and re-derives one
-   continuous chain; the active segment tolerates a torn tail exactly
-   like the monolithic image did.
+   continuous chain; the active segment tolerates a torn tail under
+   the same contract as [Journal.decode].
 
    Sealing: when the active segment crosses the size threshold (or the
    typed layer rolls it at a compaction boundary), its header is
@@ -25,9 +25,8 @@
    caught by the frame MAC: recovery stops at the first unverifiable
    frame, the same torn-tail contract as plaintext.
 
-   Error containment mirrors [Journal_file]: a write/fsync failure
-   marks the store degraded and is swallowed — the in-memory journal
-   stays authoritative. *)
+   Error containment: a write/fsync failure marks the store degraded
+   and is swallowed — the in-memory journal stays authoritative. *)
 
 type crypt = {
   wrap : nonce:string -> index:int -> string -> string;
@@ -193,7 +192,6 @@ type t = {
   mutable dir_syncs : int;
   mutable seals : int;
   mutable sealed_deleted : int;
-  mutable stale_temps_removed : int;
   mutable sink_errors : int;
   mutable degraded : bool;
   mutable sink : Journal.sink option;
@@ -212,8 +210,6 @@ let seals t = t.seals
 let sealed_count t = List.length t.sealed
 
 let sealed_deleted t = t.sealed_deleted
-
-let stale_temps_removed t = t.stale_temps_removed
 
 let sink_errors t = t.sink_errors
 
@@ -460,24 +456,14 @@ let attach ?(config = default_config) ?faults log ~dir =
       dir_syncs = 0;
       seals = 0;
       sealed_deleted = 0;
-      stale_temps_removed = 0;
       sink_errors = 0;
       degraded = false;
       sink = None;
     }
   in
-  (* Attach replaces whatever store was here: stale temp files (from a
-     crashed [Journal_file] rewrite pointed at this directory, or any
-     earlier tooling) are swept and counted; old segments are removed
-     so the fresh image is the only truth. *)
-  Array.iter
-    (fun f ->
-      let p = Filename.concat dir f in
-      if Filename.check_suffix f ".tmp" then begin
-        (try Sys.remove p with Sys_error _ -> ());
-        t.stale_temps_removed <- t.stale_temps_removed + 1
-      end)
-    (Sys.readdir dir);
+  (* Attach replaces whatever store was here: old segments are removed
+     so the fresh one is the only truth.  Files that are not segments
+     are not ours and stay untouched. *)
   List.iter
     (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
     (segment_files dir);
@@ -613,7 +599,7 @@ let recover_from_dir ?crypt dir =
                 if not clean then stop := true
               end)
             all;
-          (* Synthesize the monolithic open-ended image and reuse the
+          (* Synthesize one open-ended RVJL1 image and reuse the
              journal decoder — identical torn-tail semantics. *)
           let img = Buffer.create (Buffer.length frames + 64) in
           Buffer.add_string img "RVJL1";

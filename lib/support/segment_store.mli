@@ -1,6 +1,5 @@
-(** Segmented journal store: sealed immutable segments plus one
-    active segment, replacing the monolithic RVJL1 image for logs that
-    outgrow rewrite-the-world compaction.
+(** Segmented journal store: the durable on-disk backend for
+    {!Journal} — sealed immutable segments plus one active segment.
 
     A directory holds [seg-NNNNNN.rvsg] files (sealed — finalized
     header with exact frame count and span checksum, fsynced, never
@@ -9,7 +8,7 @@
     checkpoint).  Each segment records its own chain base, so recovery
     concatenates segments in index order and re-derives a single
     continuous checksum chain; the active tail tolerates torn writes
-    exactly as the monolithic image did.
+    under the same contract as {!Journal.decode}.
 
     Compaction ({!Journal.compact} on the attached log) drops whole
     sealed segments that lie wholly below the new chain base — oldest
@@ -24,9 +23,8 @@
     makes the frame MAC fail, and recovery stops there (the torn-tail
     contract, preserved under encryption).
 
-    Error containment matches {!Journal_file}: write/fsync failures
-    mark the store degraded and are swallowed; the in-memory journal
-    stays authoritative. *)
+    Error containment: write/fsync failures mark the store degraded
+    and are swallowed; the in-memory journal stays authoritative. *)
 
 (** Injected cipher hooks ([support] sits below [cryptosim], so the
     cipher itself lives in [Cryptosim.Atrest] and is passed in).
@@ -49,11 +47,11 @@ val default_config : config
 
 type t
 
-(** [attach log ~dir] replaces whatever store lives in [dir] (stale
-    [*.tmp] files are swept and counted, old segments removed), writes
-    the log's current entries into a fresh active segment (sealing on
-    threshold), and installs the sink so later appends, syncs, rolls
-    and compactions are mirrored.  [faults] injects a deterministic
+(** [attach log ~dir] replaces whatever store lives in [dir] (old
+    [seg-*] segment files are removed; every other file is left
+    alone), writes the log's current entries into a fresh active
+    segment (sealing on threshold), and installs the sink so later
+    appends, syncs, rolls and compactions are mirrored.  [faults] injects a deterministic
     {!Storefault} plan for crash-matrix tests. *)
 val attach : ?config:config -> ?faults:Storefault.t -> Journal.t -> dir:string -> t
 
@@ -85,9 +83,6 @@ val sealed_count : t -> int
 
 (** Sealed segments deleted by compaction so far. *)
 val sealed_deleted : t -> int
-
-(** Stale [*.tmp] files swept by {!attach}. *)
-val stale_temps_removed : t -> int
 
 (** Write/fsync failures swallowed (the store is then degraded). *)
 val sink_errors : t -> int

@@ -1,12 +1,13 @@
 (* Durable persistence crash matrix.
 
-   Layers under test: the on-disk journal backend
-   ([Support.Journal_file]) against arbitrary truncation/corruption of
-   the image and fsync-boundary kills, and journal compaction
-   ([Support.Journal.compact] / [Rvaas.Journal.compact]) for
-   recovery-equivalence, bounded growth and crash-mid-rewrite safety.
-   Every file-layer property is checked against the in-memory
-   [valid_prefix] oracle: whatever the file gives back must be a
+   Layers under test: journal compaction ([Support.Journal.compact] /
+   [Rvaas.Journal.compact]) for recovery-equivalence and bounded
+   growth, and the on-disk segmented store ([Support.Segment_store])
+   against arbitrary truncation/corruption of any segment,
+   fsync-boundary kills, crashes inside the seal and compaction
+   protocols, injected I/O faults and encryption-at-rest.  Every
+   disk-layer property is checked against the in-memory
+   [valid_prefix] oracle: whatever the store gives back must be a
    verified prefix of what was appended. *)
 
 let check = Alcotest.check
@@ -21,15 +22,6 @@ let entry_equal (a : Support.Journal.entry) (b : Support.Journal.entry) =
 let is_prefix_of got orig =
   List.length got <= List.length orig
   && List.for_all2 entry_equal got (List.filteri (fun i _ -> i < List.length got) orig)
-
-let with_tmp_file f =
-  let path = Filename.temp_file "rvaas_persistence" ".rvjl" in
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter
-        (fun p -> try Sys.remove p with Sys_error _ -> ())
-        [ path; path ^ ".tmp" ])
-    (fun () -> f path)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -111,149 +103,6 @@ let apply_ops ?(checkpoint_every = 4) ?(auto_compact = false)
 let open_nonces (r : Rvaas.Journal.recovery) =
   List.map (fun q -> q.Rvaas.Journal.q_nonce) r.open_queries
 
-(* ---- file backend: round-trip and incremental appends ---- *)
-
-let test_file_roundtrip () =
-  with_tmp_file (fun path ->
-      let j, snap =
-        apply_ops
-          (QCheck2.Gen.generate1 ~rand:(Random.State.make [| 7 |]) gen_ops)
-      in
-      let log = Rvaas.Journal.log j in
-      (* Attach mid-life: the backend writes the current image, then
-         mirrors later appends incrementally. *)
-      let file = Support.Journal_file.attach log ~path in
-      let before = Support.Journal_file.written_bytes file in
-      Rvaas.Journal.heartbeat j ~at:99.0;
-      Rvaas.Journal.checkpoint j ~at:99.1 ~snapshot:snap;
-      check Alcotest.bool "appends mirrored incrementally" true
-        (Support.Journal_file.written_bytes file > before);
-      check Alcotest.int "checkpoint fsynced everything"
-        (Support.Journal_file.written_bytes file)
-        (Support.Journal_file.synced_bytes file);
-      match Support.Journal_file.recover_from_file path with
-      | Error e -> Alcotest.failf "recover_from_file: %s" e
-      | Ok log' ->
-        check Alcotest.bool "file recovers every entry" true
-          (List.length (Support.Journal.entries log')
-          = List.length (Support.Journal.entries log));
-        List.iter2
-          (fun a b -> check Alcotest.bool "entry preserved" true (entry_equal a b))
-          (Support.Journal.entries log)
-          (Support.Journal.entries log');
-        let r = Rvaas.Journal.recover log' in
-        check Alcotest.bool "digest parity through the file" true
-          (Rvaas.Snapshot.digest_vector snap
-          = Rvaas.Snapshot.digest_vector r.Rvaas.Journal.snapshot);
-        Support.Journal_file.close file)
-
-(* Truncate the on-disk image at an arbitrary byte offset: recovery
-   must return a verified prefix of the in-memory oracle — and the
-   whole journal when the cut is past the written bytes. *)
-let prop_file_truncation =
-  QCheck2.Test.make ~count:60
-    ~name:"file image truncated at any offset recovers the verified prefix"
-    QCheck2.Gen.(pair gen_ops (int_bound 1_000_000))
-    (fun (ops, cut_raw) ->
-      with_tmp_file (fun path ->
-          let j, _ = apply_ops ops in
-          let log = Rvaas.Journal.log j in
-          let file = Support.Journal_file.attach log ~path in
-          Support.Journal_file.close file;
-          let img = read_file path in
-          let cut = cut_raw mod (String.length img + 1) in
-          write_file path (String.sub img 0 cut);
-          let oracle = Support.Journal.valid_prefix log in
-          match Support.Journal_file.recover_from_file path with
-          | Error _ -> cut < 5 (* only a cut inside the magic may fail *)
-          | Ok log' ->
-            let got = Support.Journal.entries log' in
-            Support.Journal.verify log'
-            && is_prefix_of got oracle
-            && (cut < String.length img || List.length got = List.length oracle)))
-
-(* Flip one bit anywhere in the image: recovery must never return
-   anything that is not a verified prefix of what was written. *)
-let prop_file_bitflip =
-  QCheck2.Test.make ~count:60
-    ~name:"file image with any bit flipped recovers a verified prefix"
-    QCheck2.Gen.(triple gen_ops (int_bound 1_000_000) (int_bound 7))
-    (fun (ops, pos_raw, bit) ->
-      with_tmp_file (fun path ->
-          let j, _ = apply_ops ops in
-          let log = Rvaas.Journal.log j in
-          let file = Support.Journal_file.attach log ~path in
-          Support.Journal_file.close file;
-          let img = Bytes.of_string (read_file path) in
-          let pos = pos_raw mod Bytes.length img in
-          Bytes.set img pos
-            (Char.chr (Char.code (Bytes.get img pos) lxor (1 lsl bit)));
-          write_file path (Bytes.to_string img);
-          let oracle = Support.Journal.valid_prefix log in
-          match Support.Journal_file.recover_from_file path with
-          | Error _ -> pos < 5 (* only magic corruption may hard-fail *)
-          | Ok log' ->
-            Support.Journal.verify log'
-            && is_prefix_of (Support.Journal.entries log') oracle))
-
-(* Kill between append and checkpoint: anything at or past the last
-   fsync must recover at least the synced prefix (the checkpoint
-   included); the unsynced tail may tear anywhere. *)
-let test_fsync_boundary () =
-  with_tmp_file (fun path ->
-      let j = Rvaas.Journal.create ~checkpoint_every:4 () in
-      let log = Rvaas.Journal.log j in
-      let file = Support.Journal_file.attach log ~path in
-      let snap = Rvaas.Snapshot.create () in
-      let observe i =
-        let ev = Ofproto.Message.Flow_added (sample_spec i) in
-        Rvaas.Snapshot.apply_event snap ~sw:0 ~now:(0.01 *. float_of_int i) ev;
-        Rvaas.Journal.append j ~at:(0.01 *. float_of_int i) ~snapshot:snap
-          (Rvaas.Journal.Observation { sw = 0; event = ev })
-      in
-      (* 4 observations trigger the cadence checkpoint, which fsyncs. *)
-      for i = 1 to 4 do
-        observe i
-      done;
-      let synced = Support.Journal_file.synced_bytes file in
-      let count_at_sync = Support.Journal.length log in
-      check Alcotest.int "cadence checkpoint landed" 5 count_at_sync;
-      (* Unsynced tail: two more observations, no checkpoint. *)
-      observe 5;
-      observe 6;
-      check Alcotest.bool "tail is written but not fsynced" true
-        (Support.Journal_file.written_bytes file > synced);
-      let img = read_file path in
-      check Alcotest.int "file holds every written byte"
-        (Support.Journal_file.written_bytes file)
-        (String.length img);
-      (* Simulate the kill: every surviving length from the fsync
-         boundary up to the full file must recover the synced prefix
-         (checkpoint included) — possibly more, never less. *)
-      for cut = synced to String.length img do
-        write_file path (String.sub img 0 cut);
-        match Support.Journal_file.recover_from_file path with
-        | Error e -> Alcotest.failf "cut at %d failed: %s" cut e
-        | Ok log' ->
-          if Support.Journal.length log' < count_at_sync then
-            Alcotest.failf "cut at %d lost fsynced entries: %d < %d" cut
-              (Support.Journal.length log') count_at_sync;
-          if not (Support.Journal.verify log') then
-            Alcotest.failf "cut at %d recovered an unverified log" cut
-      done;
-      (* At exactly the fsync boundary the last record is the
-         checkpoint image itself. *)
-      write_file path (String.sub img 0 synced);
-      match Support.Journal_file.recover_from_file path with
-      | Error e -> Alcotest.failf "boundary cut: %s" e
-      | Ok log' -> (
-        let entries = Support.Journal.entries log' in
-        check Alcotest.int "synced prefix exactly" count_at_sync
-          (List.length entries);
-        match Rvaas.Journal.decode_entry (List.nth entries (count_at_sync - 1)) with
-        | Ok (Rvaas.Journal.Checkpoint _) -> ()
-        | _ -> Alcotest.fail "fsync boundary is not a checkpoint record"))
-
 (* ---- compaction ---- *)
 
 (* recover (compact j) = recover j: same snapshot (full digest
@@ -277,108 +126,6 @@ let prop_compaction_equivalence =
          = Rvaas.Snapshot.digest_vector after.Rvaas.Journal.snapshot
       && open_nonces before = open_nonces after
       && before.Rvaas.Journal.generation = after.Rvaas.Journal.generation)
-
-(* Compaction composes with the file backend: the image is rewritten
-   in place (temp + rename) and recovery from the rewritten file
-   matches recovery from memory. *)
-let test_compaction_file_rewrite () =
-  with_tmp_file (fun path ->
-      let ops =
-        QCheck2.Gen.generate1 ~rand:(Random.State.make [| 11 |])
-          QCheck2.Gen.(list_repeat 80 gen_op)
-      in
-      let j, _ = apply_ops ops in
-      let log = Rvaas.Journal.log j in
-      let file = Support.Journal_file.attach log ~path in
-      let bytes_before = (Unix.stat path).Unix.st_size in
-      let before = Rvaas.Journal.recover log in
-      Rvaas.Journal.compact j ~at:1000.0;
-      let bytes_after = (Unix.stat path).Unix.st_size in
-      check Alcotest.bool "image shrank on disk" true (bytes_after < bytes_before);
-      check Alcotest.bool "no temp file left behind" false
-        (Sys.file_exists (Support.Journal_file.temp_path file));
-      (match Support.Journal_file.recover_from_file path with
-      | Error e -> Alcotest.failf "rewritten image: %s" e
-      | Ok log' ->
-        let after = Rvaas.Journal.recover log' in
-        check Alcotest.bool "digest parity through the rewrite" true
-          (Rvaas.Snapshot.digest_vector before.Rvaas.Journal.snapshot
-          = Rvaas.Snapshot.digest_vector after.Rvaas.Journal.snapshot);
-        check
-          (Alcotest.list Alcotest.string)
-          "open queries preserved through the rewrite" (open_nonces before)
-          (open_nonces after));
-      (* The backend stays attached and appendable after the rename. *)
-      Rvaas.Journal.heartbeat j ~at:1001.0;
-      match Support.Journal_file.recover_from_file path with
-      | Error e -> Alcotest.failf "post-rewrite append: %s" e
-      | Ok log' ->
-        check Alcotest.int "post-rewrite append recovered"
-          (Support.Journal.length log)
-          (Support.Journal.length log'))
-
-(* Every atomic image rewrite must also fsync the containing
-   directory: fsyncing the renamed file persists its contents, not the
-   directory entry, so without the barrier a power cut after the
-   rename can resurrect the old image.  The counter proves the barrier
-   ran exactly once per rewrite — and never on plain appends. *)
-let test_dir_fsync_on_rewrite () =
-  with_tmp_file (fun path ->
-      let ops =
-        QCheck2.Gen.generate1 ~rand:(Random.State.make [| 17 |])
-          QCheck2.Gen.(list_repeat 40 gen_op)
-      in
-      let j, _ = apply_ops ops in
-      let log = Rvaas.Journal.log j in
-      let file = Support.Journal_file.attach log ~path in
-      check Alcotest.int "attach image fsynced its directory" 1
-        (Support.Journal_file.dir_syncs file);
-      Rvaas.Journal.heartbeat j ~at:500.0;
-      check Alcotest.int "plain appends do not touch the directory" 1
-        (Support.Journal_file.dir_syncs file);
-      Rvaas.Journal.compact j ~at:1000.0;
-      check Alcotest.int "compaction rewrite fsynced the directory" 2
-        (Support.Journal_file.dir_syncs file);
-      match Support.Journal_file.recover_from_file path with
-      | Error e -> Alcotest.failf "image after directory fsync: %s" e
-      | Ok log' ->
-        check Alcotest.int "image still recovers fully"
-          (Support.Journal.length log)
-          (Support.Journal.length log'))
-
-(* A crash between writing the temp image and the rename leaves the
-   old image at [path] and a partial [path].tmp: recovery must ignore
-   the temp and return the pre-compaction state. *)
-let test_crash_mid_rewrite () =
-  with_tmp_file (fun path ->
-      let ops =
-        QCheck2.Gen.generate1 ~rand:(Random.State.make [| 13 |])
-          QCheck2.Gen.(list_repeat 60 gen_op)
-      in
-      let j, _ = apply_ops ops in
-      let log = Rvaas.Journal.log j in
-      let file = Support.Journal_file.attach log ~path in
-      let before = Rvaas.Journal.recover log in
-      let old_image = read_file path in
-      (* The kill: a torn temp image next to the intact old one. *)
-      write_file
-        (Support.Journal_file.temp_path file)
-        (String.sub old_image 0 (String.length old_image / 3));
-      (match Support.Journal_file.recover_from_file path with
-      | Error e -> Alcotest.failf "old image unreadable: %s" e
-      | Ok log' ->
-        let r = Rvaas.Journal.recover log' in
-        check Alcotest.bool "pre-compaction state recovered" true
-          (Rvaas.Snapshot.digest_vector before.Rvaas.Journal.snapshot
-          = Rvaas.Snapshot.digest_vector r.Rvaas.Journal.snapshot));
-      (* A fresh attach over the same path (the restarted process)
-         replaces both the image and the stale temp. *)
-      let j2 = Rvaas.Journal.of_log ~checkpoint_every:4 log in
-      Support.Journal.detach log;
-      let file2 = Support.Journal_file.attach log ~path in
-      Rvaas.Journal.heartbeat j2 ~at:2000.0;
-      check Alcotest.bool "stale temp replaced by the new attach" false
-        (Sys.file_exists (Support.Journal_file.temp_path file2)))
 
 (* With auto-compaction the journal never exceeds 2 x checkpoint_every
    entries, at any point of any workload — except that open queries
@@ -460,6 +207,12 @@ let seg_files dir =
          Filename.check_suffix f ".rvsg" || Filename.check_suffix f ".act")
   |> List.sort compare
 
+let seg_observe j snap i =
+  let ev = Ofproto.Message.Flow_added (sample_spec i) in
+  Rvaas.Snapshot.apply_event snap ~sw:0 ~now:(0.01 *. float_of_int i) ev;
+  Rvaas.Journal.append j ~at:(0.01 *. float_of_int i) ~snapshot:snap
+    (Rvaas.Journal.Observation { sw = 0; event = ev })
+
 let atrest_key = Cryptosim.Hmac.key_of_string "test-at-rest-key"
 
 let atrest = Cryptosim.Atrest.crypt ~key:atrest_key
@@ -501,12 +254,13 @@ let test_segment_roundtrip () =
           (Rvaas.Snapshot.digest_vector snap
           = Rvaas.Snapshot.digest_vector r.Rvaas.Journal.snapshot))
 
-(* A crashed rewrite (or any earlier tooling) can leave [*.tmp] litter
-   and dead segments in the directory; attach must sweep both — and
-   count the temps so operators can see the crash happened. *)
-let test_attach_sweeps_stale_state () =
+(* Attach replaces the store it finds — every old [seg-*] segment —
+   but the directory may hold files that are not the store's, and
+   those must survive untouched. *)
+let test_attach_keeps_foreign_files () =
   with_tmp_dir (fun dir ->
-      write_file (Filename.concat dir "journal.rvjl.tmp") "half-written temp";
+      let foreign = [ ("notes.tmp", "operator notes"); ("README", "keep me") ] in
+      List.iter (fun (f, body) -> write_file (Filename.concat dir f) body) foreign;
       write_file (Filename.concat dir "seg-000099.rvsg") "segment from a previous life";
       let j, _ =
         apply_ops
@@ -514,10 +268,13 @@ let test_attach_sweeps_stale_state () =
       in
       let log = Rvaas.Journal.log j in
       let store = Support.Segment_store.attach log ~dir in
-      check Alcotest.int "stale temp swept and counted" 1
-        (Support.Segment_store.stale_temps_removed store);
       check Alcotest.bool "stale segments replaced" false
         (Sys.file_exists (Filename.concat dir "seg-000099.rvsg"));
+      List.iter
+        (fun (f, body) ->
+          check Alcotest.string (f ^ " left untouched") body
+            (read_file (Filename.concat dir f)))
+        foreign;
       Support.Segment_store.close store;
       match Support.Segment_store.recover_from_dir dir with
       | Error e -> Alcotest.failf "fresh store: %s" e
@@ -525,6 +282,62 @@ let test_attach_sweeps_stale_state () =
         check Alcotest.int "fresh store recovers in full"
           (Support.Journal.length log)
           (Support.Journal.length log'))
+
+(* Kill between append and checkpoint: with segments large enough
+   that everything sits in the active segment, any cut of that file at
+   or past the last fsync must recover at least the synced prefix (the
+   checkpoint included); the unsynced tail may tear anywhere. *)
+let test_fsync_boundary () =
+  with_tmp_dir (fun dir ->
+      let j = Rvaas.Journal.create ~checkpoint_every:4 () in
+      let log = Rvaas.Journal.log j in
+      let store = Support.Segment_store.attach ~config:(seg_config 65536) log ~dir in
+      let snap = Rvaas.Snapshot.create () in
+      (* 4 observations trigger the cadence checkpoint, which fsyncs. *)
+      for i = 1 to 4 do
+        seg_observe j snap i
+      done;
+      let synced = Support.Segment_store.synced_bytes store in
+      let count_at_sync = Support.Journal.length log in
+      check Alcotest.int "cadence checkpoint landed" 5 count_at_sync;
+      (* Unsynced tail: two more observations, no checkpoint. *)
+      seg_observe j snap 5;
+      seg_observe j snap 6;
+      check Alcotest.bool "tail is written but not fsynced" true
+        (Support.Segment_store.written_bytes store > synced);
+      check Alcotest.int "nothing sealed" 0 (Support.Segment_store.sealed_count store);
+      let path = Support.Segment_store.active_path store in
+      let img = read_file path in
+      check Alcotest.int "active segment holds every written byte"
+        (Support.Segment_store.written_bytes store)
+        (String.length img);
+      Support.Segment_store.close store;
+      (* Simulate the kill: every surviving length from the fsync
+         boundary up to the full file must recover the synced prefix
+         (checkpoint included) — possibly more, never less. *)
+      for cut = synced to String.length img do
+        write_file path (String.sub img 0 cut);
+        match Support.Segment_store.recover_from_dir dir with
+        | Error e -> Alcotest.failf "cut at %d failed: %s" cut e
+        | Ok log' ->
+          if Support.Journal.length log' < count_at_sync then
+            Alcotest.failf "cut at %d lost fsynced entries: %d < %d" cut
+              (Support.Journal.length log') count_at_sync;
+          if not (Support.Journal.verify log') then
+            Alcotest.failf "cut at %d recovered an unverified log" cut
+      done;
+      (* At exactly the fsync boundary the last record is the
+         checkpoint image itself. *)
+      write_file path (String.sub img 0 synced);
+      match Support.Segment_store.recover_from_dir dir with
+      | Error e -> Alcotest.failf "boundary cut: %s" e
+      | Ok log' -> (
+        let entries = Support.Journal.entries log' in
+        check Alcotest.int "synced prefix exactly" count_at_sync
+          (List.length entries);
+        match Rvaas.Journal.decode_entry (List.nth entries (count_at_sync - 1)) with
+        | Ok (Rvaas.Journal.Checkpoint _) -> ()
+        | _ -> Alcotest.fail "fsync boundary is not a checkpoint record"))
 
 (* Damage one arbitrary segment file — sealed or active, any position:
    recovery must return a verified prefix of the in-memory oracle.
@@ -700,12 +513,6 @@ let test_crash_mid_compaction_unlink () =
 
 (* ---- injected faults: ENOSPC, short writes, failed fsyncs ---- *)
 
-let seg_observe j snap i =
-  let ev = Ofproto.Message.Flow_added (sample_spec i) in
-  Rvaas.Snapshot.apply_event snap ~sw:0 ~now:(0.01 *. float_of_int i) ev;
-  Rvaas.Journal.append j ~at:(0.01 *. float_of_int i) ~snapshot:snap
-    (Rvaas.Journal.Observation { sw = 0; event = ev })
-
 let test_enospc_containment () =
   with_tmp_dir (fun dir ->
       let j = Rvaas.Journal.create ~checkpoint_every:100 () in
@@ -871,8 +678,8 @@ let prop_encrypted_bitflip =
 
 (* ---- end to end: a live HA deployment journaling to disk ---- *)
 
-let test_scenario_file_recovery () =
-  with_tmp_file (fun path ->
+let test_scenario_store_recovery () =
+  with_tmp_dir (fun dir ->
       let topo = Workload.Topogen.linear Workload.Topogen.default_params 4 in
       let s =
         Workload.Scenario.build
@@ -886,46 +693,37 @@ let test_scenario_file_recovery () =
                   checkpoint_every = 16;
                   auto_compact = true;
                 };
+            persist =
+              Some
+                {
+                  Workload.Scenario.p_dir = dir;
+                  p_segment_bytes = 2048;
+                  p_encrypt = false;
+                };
           }
       in
       let ctrl = Workload.Scenario.controller s in
       let log = Rvaas.Journal.log (Rvaas.Failover.journal ctrl) in
-      let file = Support.Journal_file.attach log ~path in
       Workload.Scenario.run s ~until:0.6;
       check Alcotest.bool "auto-compaction bounded the live journal" true
         (Support.Journal.length log <= 32);
       let live = Rvaas.Monitor.snapshot (Workload.Scenario.monitor s) in
-      match Support.Journal_file.recover_from_file path with
-      | Error e -> Alcotest.failf "live file recovery: %s" e
+      Support.Segment_store.close (Workload.Scenario.store s);
+      match Support.Segment_store.recover_from_dir dir with
+      | Error e -> Alcotest.failf "live store recovery: %s" e
       | Ok log' ->
         let r = Rvaas.Journal.recover log' in
         check Alcotest.bool "recovered digest vector equals the live one" true
           (Rvaas.Snapshot.digest_vector live
-          = Rvaas.Snapshot.digest_vector r.Rvaas.Journal.snapshot);
-        Support.Journal_file.close file)
+          = Rvaas.Snapshot.digest_vector r.Rvaas.Journal.snapshot))
 
 let () =
   Alcotest.run "persistence"
     [
-      ( "file-backend",
-        [
-          Alcotest.test_case "attach, append, recover round-trip" `Quick
-            test_file_roundtrip;
-          QCheck_alcotest.to_alcotest prop_file_truncation;
-          QCheck_alcotest.to_alcotest prop_file_bitflip;
-          Alcotest.test_case "fsync boundary survives the kill" `Quick
-            test_fsync_boundary;
-        ] );
       ( "compaction",
         [
           QCheck_alcotest.to_alcotest prop_compaction_equivalence;
           QCheck_alcotest.to_alcotest prop_bounded_growth;
-          Alcotest.test_case "file image rewritten atomically" `Quick
-            test_compaction_file_rewrite;
-          Alcotest.test_case "rewrite fsyncs the containing directory" `Quick
-            test_dir_fsync_on_rewrite;
-          Alcotest.test_case "crash mid-rewrite keeps the old image" `Quick
-            test_crash_mid_rewrite;
           Alcotest.test_case "generation audit trail preserved" `Quick
             test_compaction_preserves_generations;
         ] );
@@ -933,8 +731,10 @@ let () =
         [
           Alcotest.test_case "attach, seal, recover round-trip" `Quick
             test_segment_roundtrip;
-          Alcotest.test_case "attach sweeps stale temps and segments" `Quick
-            test_attach_sweeps_stale_state;
+          Alcotest.test_case "attach replaces only segment files" `Quick
+            test_attach_keeps_foreign_files;
+          Alcotest.test_case "fsync boundary survives the kill" `Quick
+            test_fsync_boundary;
           QCheck_alcotest.to_alcotest prop_segment_truncation;
           QCheck_alcotest.to_alcotest prop_segment_bitflip;
           Alcotest.test_case "crash points inside the seal protocol" `Quick
@@ -961,6 +761,6 @@ let () =
       ( "end-to-end",
         [
           Alcotest.test_case "live deployment journal recovers from disk" `Quick
-            test_scenario_file_recovery;
+            test_scenario_store_recovery;
         ] );
     ]
