@@ -753,79 +753,6 @@ let e12 () =
     [ None; Some 50; Some 100; Some 500; Some 1000 ]
 
 (* ---------------------------------------------------------------- *)
-(* E13: parallel isolation sweep + digest-keyed result cache         *)
-(* ---------------------------------------------------------------- *)
-
-let e13 () =
-  section
-    "E13: parallel + incremental verification engine\n\
-     isolation query = one reach pass per access point, partitioned over a\n\
-     Support.Pool of worker domains; cold = empty result cache, warm = the\n\
-     same query repeated (digest-keyed cache hits)";
-  Printf.printf "%-14s %7s | %11s %11s | %9s %10s | %8s\n" "topology" "workers"
-    "cold (ms)" "warm (ms)" "vs 1 wkr" "warm gain" "hit rate";
-  let p = Workload.Topogen.default_params in
-  let cases =
-    [
-      ("fat-tree-k4", Workload.Topogen.fat_tree p ~k:4);
-      ("fat-tree-k6", Workload.Topogen.fat_tree p ~k:6);
-    ]
-  in
-  List.iter
-    (fun (name, topo) ->
-      let s = build_scenario topo in
-      Workload.Scenario.run s ~until:(Netsim.Sim.now (Netsim.Net.sim s.net) +. 0.2);
-      let att = Option.get (Netsim.Topology.host_attachment topo 0) in
-      let src_sw =
-        match att.Netsim.Topology.node with
-        | Netsim.Topology.Switch sw -> sw
-        | _ -> assert false
-      in
-      let query = Rvaas.Query.make Rvaas.Query.Isolation in
-      let eval () =
-        ignore
-          (Rvaas.Service.evaluate s.service ~client:0 ~sw:src_sw
-             ~port:att.Netsim.Topology.port query)
-      in
-      let cache = Rvaas.Service.reach_cache s.service in
-      let base_cold = ref 0.0 in
-      List.iter
-        (fun workers ->
-          let pool = Support.Pool.create workers in
-          Rvaas.Service.set_pool s.service pool;
-          Rvaas.Reach_cache.invalidate cache;
-          let (), cold = wall eval in
-          let st = Rvaas.Reach_cache.stats cache in
-          let hits0 = st.Rvaas.Reach_cache.hits
-          and misses0 = st.Rvaas.Reach_cache.misses in
-          (* Warm = median of repeated cache-hit evaluations; one
-             sample is too jittery to carry a speedup column. *)
-          let warm =
-            percentile 0.5
-              (List.init 5 (fun _ -> snd (wall eval)))
-          in
-          let dh = st.Rvaas.Reach_cache.hits - hits0
-          and dm = st.Rvaas.Reach_cache.misses - misses0 in
-          let hit_rate =
-            if dh + dm = 0 then 0.0 else float_of_int dh /. float_of_int (dh + dm)
-          in
-          if workers = 1 then base_cold := cold;
-          Printf.printf "%-14s %7d | %11.3f %11.3f | %8.2fx %9.1fx | %7.0f%%\n%!" name
-            workers (1000.0 *. cold) (1000.0 *. warm)
-            (!base_cold /. Float.max 1e-9 cold)
-            (cold /. Float.max 1e-9 warm)
-            (100.0 *. hit_rate);
-          Support.Pool.shutdown pool)
-        [ 1; 2; 4; 8 ];
-      (* Leave the scenario with a pool it can still use. *)
-      Rvaas.Service.set_pool s.service (Support.Pool.create 1))
-    cases;
-  Printf.printf
-    "\n(workers > available cores cannot speed anything up; this table is only\n\
-     meaningful on multi-core hardware — %d core(s) visible here)\n"
-    (Domain.recommended_domain_count ())
-
-(* ---------------------------------------------------------------- *)
 (* E14: lossy-channel robustness — fault injection × retry policy    *)
 (* ---------------------------------------------------------------- *)
 
@@ -978,139 +905,6 @@ let e14 () =
         (Printf.sprintf "%g%%" (100.0 *. loss))
         off on)
     losses
-
-(* ---------------------------------------------------------------- *)
-(* E15: delta-aware reach cache under rolling single-switch updates  *)
-(* ---------------------------------------------------------------- *)
-
-let e15_rounds = 10
-
-let e15 () =
-  section
-    "E15: reach cache under rolling single-switch updates\n\
-     each round Flow-Mods one switch (round-robin) and then replays a fixed\n\
-     interactive workload: dst-scoped reach queries from 8 access points plus one\n\
-     isolation sweep.  full = any change flushes the whole cache (previous\n\
-     behaviour, emulated by an extra snapshot-change hook); delta = only entries\n\
-     whose reach pass traversed the modified switch are evicted.  hit rate is\n\
-     over the reach workload, warmup round excluded";
-  Printf.printf "%-14s %-6s %7s | %11s %11s | %8s %16s %11s\n" "topology" "mode" "workers"
-    "reach (ms)" "isolate(ms)" "hit rate" "inv/evict/flush" "ring/purged";
-  let p = Workload.Topogen.default_params in
-  let rng = Support.Rng.create 7 in
-  let cases =
-    [
-      ("fat-tree-k6", Workload.Topogen.fat_tree p ~k:6);
-      ("waxman-40", Workload.Topogen.waxman p rng ~n:40 ~alpha:0.4 ~beta:0.4);
-    ]
-  in
-  List.iter
-    (fun (name, topo) ->
-      List.iter
-        (fun (mode, full_invalidate) ->
-          List.iter
-            (fun workers ->
-              let s = build_scenario topo in
-              Workload.Scenario.run s
-                ~until:(Netsim.Sim.now (Netsim.Net.sim s.net) +. 0.2);
-              let cache = Rvaas.Service.reach_cache s.service in
-              if full_invalidate then
-                (* Emulate the pre-delta behaviour: every actual change
-                   anywhere drops every cached result. *)
-                Rvaas.Monitor.on_snapshot_change s.monitor (fun ~sw:_ ~changed ->
-                    if changed then Rvaas.Reach_cache.invalidate cache);
-              let pool = Support.Pool.create workers in
-              Rvaas.Service.set_pool s.service pool;
-              let switches = Netsim.Topology.switches topo in
-              let points = Rvaas.Verifier.access_points topo in
-              let srcs = List.filteri (fun i _ -> i < 8) points in
-              (* Two destination addresses: dst-scoped passes have the
-                 sparse traversal sets that delta invalidation keeps. *)
-              let ip_of (ep : Rvaas.Verifier.endpoint) =
-                (Option.get (Sdnctl.Addressing.host s.addressing ~host:ep.host))
-                  .Sdnctl.Addressing.ip
-              in
-              let dsts =
-                [ ip_of (List.hd points); ip_of (List.hd (List.rev points)) ]
-              in
-              let att = List.hd points in
-              let query = Rvaas.Query.make Rvaas.Query.Isolation in
-              let st = Rvaas.Reach_cache.stats cache in
-              let reach_time = ref 0.0
-              and reach_n = ref 0
-              and iso_time = ref 0.0
-              and iso_n = ref 0
-              and hits = ref 0
-              and misses = ref 0 in
-              for round = 0 to e15_rounds - 1 do
-                let sw = List.nth switches (round mod List.length switches) in
-                let m =
-                  Ofproto.Match_.with_exact Ofproto.Match_.any Hspace.Field.Tp_src
-                    (7000 + round)
-                in
-                Netsim.Net.send s.net
-                  (Sdnctl.Provider.conn s.provider)
-                  ~sw
-                  (Ofproto.Message.Flow_mod
-                     (Ofproto.Message.Add_flow
-                        (Ofproto.Flow_entry.make_spec ~cookie:9 ~priority:55 m [])));
-                Workload.Scenario.run s
-                  ~until:(Netsim.Sim.now (Netsim.Net.sim s.net) +. 0.05);
-                let h0 = st.Rvaas.Reach_cache.hits
-                and m0 = st.Rvaas.Reach_cache.misses in
-                let (), reach_dt =
-                  wall (fun () ->
-                      List.iter
-                        (fun (src : Rvaas.Verifier.endpoint) ->
-                          List.iter
-                            (fun ip ->
-                              ignore
-                                (Rvaas.Service.reach s.service ~src_sw:src.sw
-                                   ~src_port:src.port
-                                   ~hs:(Rvaas.Verifier.dst_ip_hs ip)))
-                            dsts)
-                        srcs)
-                in
-                let dh = st.Rvaas.Reach_cache.hits - h0
-                and dm = st.Rvaas.Reach_cache.misses - m0 in
-                let (), iso_dt =
-                  wall (fun () ->
-                      ignore
-                        (Rvaas.Service.evaluate s.service ~client:0
-                           ~sw:att.Rvaas.Verifier.sw ~port:att.Rvaas.Verifier.port
-                           query))
-                in
-                if round > 0 then begin
-                  reach_time := !reach_time +. reach_dt;
-                  reach_n := !reach_n + (List.length srcs * List.length dsts);
-                  iso_time := !iso_time +. iso_dt;
-                  incr iso_n;
-                  hits := !hits + dh;
-                  misses := !misses + dm
-                end
-              done;
-              let hit_rate =
-                if !hits + !misses = 0 then 0.0
-                else float_of_int !hits /. float_of_int (!hits + !misses)
-              in
-              Printf.printf
-                "%-14s %-6s %7d | %11.3f %11.3f | %7.0f%% %5d/%5d/%-4d %5d/%-5d\n%!"
-                name mode workers
-                (1000.0 *. !reach_time /. float_of_int (max 1 !reach_n))
-                (1000.0 *. !iso_time /. float_of_int (max 1 !iso_n))
-                (100.0 *. hit_rate)
-                st.Rvaas.Reach_cache.invalidated
-                st.Rvaas.Reach_cache.delta_evictions
-                st.Rvaas.Reach_cache.invalidations
-                (* The second-chance ring must track the live table, not
-                   the eviction history (the clock-leak regression). *)
-                (Rvaas.Reach_cache.clock_length cache)
-                st.Rvaas.Reach_cache.clock_purged;
-              Support.Pool.shutdown pool;
-              Rvaas.Service.set_pool s.service (Support.Pool.create 1))
-            [ 1; 4 ])
-        [ ("full", true); ("delta", false) ])
-    cases
 
 (* ---------------------------------------------------------------- *)
 (* E16: controller crash mid-attack — recovery time & verdict parity *)
@@ -1452,15 +1246,15 @@ let e18 () =
   section
     "E18: compiled plumbing graph — one-time compile cost (tables + 8 warm\n\
      sources), steady-state query latency for the same 24-query workload\n\
-     (8 sources x 3 scopes, 6 reps) under sweep / delta-cache / compiled\n\
+     (8 sources x 3 scopes, 6 reps) under an uncached sweep and compiled\n\
      lookup, then 100 single-switch Flow-Mods with per-update incremental\n\
      latency (update + requery) and differential checks vs. a fresh sweep;\n\
      the maintained graph must equal a recompile from scratch at the end";
   let strict = Sys.getenv_opt "RVAAS_E18_STRICT" <> None in
   let failures = ref 0 in
-  Printf.printf "%-14s %4s %6s | %10s %6s %7s | %9s %9s %9s %7s | %8s %5s\n"
-    "topology" "sw" "rules" "compile" "nodes" "edges" "sweep(ms)" "cache(ms)"
-    "look(ms)" "speedup" "upd(ms)" "diff";
+  Printf.printf "%-14s %4s %6s | %10s %6s %7s | %9s %9s %7s | %8s %5s\n"
+    "topology" "sw" "rules" "compile" "nodes" "edges" "sweep(ms)" "look(ms)"
+    "speedup" "upd(ms)" "diff";
   let p = Workload.Topogen.default_params in
   let rng = Support.Rng.create 7 in
   let cases =
@@ -1521,27 +1315,6 @@ let e18 () =
               workload (fun ~src ~hs ->
                   Rvaas.Verifier.reach_in ctx ~src_sw:src.sw ~src_port:src.port
                     ~hs)
-            done)
-      in
-      (* Delta-cache baseline: first rep misses and sweeps, later reps
-         hit — the repeated-query amortisation of E13/E15. *)
-      let cache = Rvaas.Reach_cache.create () in
-      let (), cache_dt =
-        wall (fun () ->
-            for _ = 1 to e18_reps do
-              workload (fun ~src ~hs ->
-                  let key = Rvaas.Reach_cache.key ~src_sw:src.sw
-                      ~src_port:src.port ~hs
-                  in
-                  match Rvaas.Reach_cache.find cache key with
-                  | Some r -> r
-                  | None ->
-                    let r =
-                      Rvaas.Verifier.reach_in ctx ~src_sw:src.sw
-                        ~src_port:src.port ~hs
-                    in
-                    Rvaas.Reach_cache.add cache key ~snapshot r;
-                    r)
             done)
       in
       (* Compiled engine: one-time compile (tables + warm sources),
@@ -1661,13 +1434,13 @@ let e18 () =
       end;
       let g = Rvaas.Plumbing.graph plumbing in
       Printf.printf
-        "%-14s %4d %6d | %8.1fms %6d %7d | %9.3f %9.3f %9.4f %6.1fx | %8.2f %5s\n%!"
+        "%-14s %4d %6d | %8.1fms %6d %7d | %9.3f %9.4f %6.1fx | %8.2f %5s\n%!"
         name
         (Workload.Topogen.switch_count topo)
         rules
         (1000.0 *. compile_dt)
         g.Rvaas.Plumbing.nodes g.Rvaas.Plumbing.edges (per_query sweep_dt)
-        (per_query cache_dt) (per_query lookup_dt) speedup
+        (per_query lookup_dt) speedup
         (1000.0 *. avg_update)
         (if !mismatches = 0 then "ok" else "FAIL"))
     cases;
@@ -1768,8 +1541,7 @@ type drive_result = {
    [sampler]) through the served path in waves of [wave], so
    undelivered answer packets never pile past one wave.  Shared by E19
    (Zipf identical-duplicate mix) and E20 (Zipf scope-width mix). *)
-let frontend_drive ?(engine = `Sweep) ?(wave = e19_wave) ~frontend ~sampler ~n ()
-    =
+let frontend_drive ?(wave = e19_wave) ~frontend ~sampler ~n () =
   (* Three hosts per edge switch: 54 endpoints, so a tenant-wide scope
      probes ~26 same-tenant attachment points per query — the auth-round
      cost the front-end amortizes across coalesced duplicates. *)
@@ -1779,8 +1551,7 @@ let frontend_drive ?(engine = `Sweep) ?(wave = e19_wave) ~frontend ~sampler ~n (
       ~k:6
   in
   let s =
-    Workload.Scenario.build
-      { (Workload.Scenario.default_spec topo) with engine; frontend }
+    Workload.Scenario.build { (Workload.Scenario.default_spec topo) with frontend }
   in
   Workload.Scenario.run s ~until:(Netsim.Sim.now (Netsim.Net.sim s.net) +. 0.3);
   let sample = sampler s in
@@ -1849,9 +1620,8 @@ let frontend_drive ?(engine = `Sweep) ?(wave = e19_wave) ~frontend ~sampler ~n (
   in
   let fs = Rvaas.Service.frontend_stats s.service in
   let pool_warms =
-    match Rvaas.Service.plumbing s.service with
-    | None -> 0
-    | Some pl -> (Rvaas.Plumbing.stats pl).Rvaas.Plumbing.pool_warms
+    (Rvaas.Plumbing.stats (Option.get (Rvaas.Service.plumbing s.service)))
+      .Rvaas.Plumbing.pool_warms
   in
   {
     d_qps = float_of_int n /. Float.max wall_dt 1e-9;
@@ -1876,15 +1646,12 @@ let e19_drive ~frontend ~n = frontend_drive ~frontend ~sampler:e19_sampler ~n ()
    the question mix per scenario; [frontend] the pooling under test
    (E19: coalescing + batching; E20: subsumption on top).  Returns the
    mismatch count. *)
-let parity_check ~engine ~frontend ~scopes =
+let parity_check ~frontend ~scopes =
   let topo = Workload.Topogen.fat_tree Workload.Topogen.default_params ~k:4 in
   let settle s =
     Workload.Scenario.run s ~until:(Netsim.Sim.now (Netsim.Net.sim s.net) +. 1.0)
   in
-  let ref_s =
-    Workload.Scenario.build
-      { (Workload.Scenario.default_spec topo) with engine }
-  in
+  let ref_s = Workload.Scenario.build (Workload.Scenario.default_spec topo) in
   settle ref_s;
   let pt = List.hd (Rvaas.Verifier.access_points topo) in
   let info =
@@ -1903,8 +1670,7 @@ let parity_check ~engine ~frontend ~scopes =
       (scopes ref_s)
   in
   let s =
-    Workload.Scenario.build
-      { (Workload.Scenario.default_spec topo) with engine; frontend }
+    Workload.Scenario.build { (Workload.Scenario.default_spec topo) with frontend }
   in
   settle s;
   let agent = Workload.Scenario.agent s ~host:pt.Rvaas.Verifier.host in
@@ -1939,11 +1705,11 @@ let parity_check ~engine ~frontend ~scopes =
     nonces;
   !mismatches
 
-let e19_parity ~engine =
+let e19_parity () =
   let ip_of (s : Workload.Scenario.t) h =
     (Option.get (Sdnctl.Addressing.host s.addressing ~host:h)).Sdnctl.Addressing.ip
   in
-  parity_check ~engine
+  parity_check
     ~frontend:(Rvaas.Frontend.coalescing ~batch_window:0.002 ())
     ~scopes:(fun s ->
       Rvaas.Verifier.ip_traffic_hs ()
@@ -1956,7 +1722,7 @@ let e19 () =
      coalescing on (identical in-flight queries fold under one computation,\n\
      per-client signed answers fanned out at finalize); baseline = the\n\
      per-query seed path.  Then token-bucket throttling (noisy tenant vs\n\
-     victim) and batched-vs-per-query differential parity under both engines";
+     victim) and batched-vs-per-query differential parity";
   let strict = Sys.getenv_opt "RVAAS_E19_STRICT" <> None in
   let failures = ref 0 in
   Printf.printf "%-10s %9s | %12s %9s %9s %9s | %8s\n" "mode" "clients"
@@ -2042,13 +1808,9 @@ let e19 () =
     incr failures;
     print_endline "E19 strict: throttling hit the wrong tenant"
   end;
-  (* Differential parity under both engines. *)
-  List.iter
-    (fun (name, engine) ->
-      let mismatches = e19_parity ~engine in
-      Printf.printf "parity (%s): %d mismatch(es)\n%!" name mismatches;
-      if mismatches > 0 then incr failures)
-    [ ("sweep", `Sweep); ("compiled", `Compiled) ];
+  let mismatches = e19_parity () in
+  Printf.printf "parity: %d mismatch(es)\n%!" mismatches;
+  if mismatches > 0 then incr failures;
   if strict then
     if !failures > 0 then begin
       Printf.printf "E19 strict: %d failing check(s)\n" !failures;
@@ -2131,14 +1893,14 @@ let e20_sampler (s : Workload.Scenario.t) =
     in
     (pt, scope, i.Sdnctl.Addressing.ip)
 
-let e20_drive ~engine ~frontend ~n =
-  frontend_drive ~engine ~wave:20_000 ~frontend ~sampler:e20_sampler ~n ()
+let e20_drive ~frontend ~n =
+  frontend_drive ~wave:20_000 ~frontend ~sampler:e20_sampler ~n ()
 
 (* Sliced-vs-per-query parity: broad, mid and narrow scopes sent back
    to back by one agent under subsumption must each report exactly the
    endpoints per-query evaluation reports. *)
-let e20_parity ~engine =
-  parity_check ~engine
+let e20_parity () =
+  parity_check
     ~frontend:(Rvaas.Frontend.coalescing ~batch_window:0.002 ~subsume:true ())
     ~scopes:(fun s ->
       let w = Hspace.Field.total_width in
@@ -2166,48 +1928,37 @@ let e20 () =
      coalescing: every distinct variant opens its own computation.  subsume =\n\
      the waiters-on-computation graph: a contained scope rides the broad\n\
      computation as a slice and is answered by arrival-space intersection at\n\
-     the shared finalize; under the compiled engine each flush seeds one\n\
-     pooled Plumbing.warm across the points it spans.  Then sliced-vs-\n\
-     per-query differential parity under both engines";
+     the shared finalize; each flush seeds one pooled Plumbing.warm across\n\
+     the points it spans.  Then sliced-vs-per-query differential parity";
   let strict = Sys.getenv_opt "RVAAS_E20_STRICT" <> None in
   let failures = ref 0 in
-  Printf.printf "%-10s %-9s %8s | %12s %9s %9s %9s %6s | %8s\n" "mode" "engine"
-    "clients" "queries/s" "p99 (ms)" "coalesce" "subsume" "warms" "answers";
-  let run mode (engine_name, engine) frontend n =
-    let r = e20_drive ~engine ~frontend ~n in
-    Printf.printf "%-10s %-9s %8d | %12.0f %9.2f %8.1f%% %8.1f%% %6d | %8d%s\n%!"
-      mode engine_name n r.d_qps (1000.0 *. r.d_p99) (100.0 *. r.d_coalesce)
-      (100.0 *. r.d_subsume) r.d_pool_warms r.d_arrivals
+  Printf.printf "%-10s %8s | %12s %9s %9s %9s %6s | %8s\n" "mode" "clients"
+    "queries/s" "p99 (ms)" "coalesce" "subsume" "warms" "answers";
+  let run mode frontend n =
+    let r = e20_drive ~frontend ~n in
+    Printf.printf "%-10s %8d | %12.0f %9.2f %8.1f%% %8.1f%% %6d | %8d%s\n%!" mode n
+      r.d_qps (1000.0 *. r.d_p99) (100.0 *. r.d_coalesce) (100.0 *. r.d_subsume)
+      r.d_pool_warms r.d_arrivals
       (if r.d_arrivals = n then "" else " MISSING");
     if r.d_arrivals <> n then incr failures;
     r
   in
   let coalesce_only = Rvaas.Frontend.coalescing ~batch_window:0.005 () in
   let subsume = Rvaas.Frontend.coalescing ~batch_window:0.005 ~subsume:true () in
-  let sweep = ("sweep", `Sweep) and compiled = ("compiled", `Compiled) in
   let n = 100_000 in
-  ignore (run "coalesce" sweep coalesce_only 10_000);
-  ignore (run "subsume" sweep subsume 10_000);
-  let base_sweep = run "coalesce" sweep coalesce_only n in
-  let sub_sweep = run "subsume" sweep subsume n in
-  let base_comp = run "coalesce" compiled coalesce_only n in
-  let sub_comp = run "subsume" compiled subsume n in
-  if strict && sub_sweep.d_qps < 2.0 *. base_sweep.d_qps then begin
-    incr failures;
-    Printf.printf "E20 strict: %.0f q/s < 2x the %.0f q/s coalesce-only (sweep)\n"
-      sub_sweep.d_qps base_sweep.d_qps
-  end;
+  let base_comp = run "coalesce" coalesce_only n in
+  let sub_comp = run "subsume" subsume n in
   if strict && sub_comp.d_qps < 1.5 *. base_comp.d_qps then begin
     incr failures;
     Printf.printf
       "E20 strict: %.0f q/s < 1.5x the %.0f q/s coalesce-only (compiled)\n"
       sub_comp.d_qps base_comp.d_qps
   end;
-  if strict && (sub_sweep.d_subsume <= 0.0 || sub_comp.d_subsume <= 0.0) then begin
+  if strict && sub_comp.d_subsume <= 0.0 then begin
     incr failures;
     print_endline "E20 strict: subsume mode never subsumed a query"
   end;
-  if strict && (base_sweep.d_subsumed <> 0 || base_comp.d_subsumed <> 0) then begin
+  if strict && base_comp.d_subsumed <> 0 then begin
     incr failures;
     print_endline
       "E20 strict: coalesce-only config entered the subsumption graph"
@@ -2216,12 +1967,9 @@ let e20 () =
     incr failures;
     print_endline "E20 strict: no pooled warm was seeded under the compiled engine"
   end;
-  List.iter
-    (fun (name, engine) ->
-      let mismatches = e20_parity ~engine in
-      Printf.printf "parity (%s): %d mismatch(es)\n%!" name mismatches;
-      if mismatches > 0 then incr failures)
-    [ sweep; compiled ];
+  let mismatches = e20_parity () in
+  Printf.printf "parity: %d mismatch(es)\n%!" mismatches;
+  if mismatches > 0 then incr failures;
   if strict then
     if !failures > 0 then begin
       Printf.printf "E20 strict: %d failing check(s)\n" !failures;
@@ -2594,7 +2342,6 @@ let e22 () =
             clients;
             seed = 22;
             polling = Rvaas.Monitor.Periodic 60.0;
-            engine = `Compiled;
             frontend = Rvaas.Frontend.coalescing ~batch_window:0.002 ();
             range_hosts = 0x10000;
           })
@@ -2648,8 +2395,8 @@ let e22 () =
   let parity_checks = ref 0 and parity_mismatches = ref 0 in
   let executed0 = Netsim.Sim.executed sim in
   let wall0 = now_s () in
-  Printf.printf "%-7s | %9s %9s %8s | %6s %8s %7s | %6s\n" "sim(s)" "events"
-    "ev/s(w)" "wall(s)" "cache%" "coalesce" "rss(MB)" "parity";
+  Printf.printf "%-7s | %9s %9s %8s | %8s %7s | %6s\n" "sim(s)" "events"
+    "ev/s(w)" "wall(s)" "coalesce" "rss(MB)" "parity";
   for k = 1 to samples do
     let (), step_wall =
       wall (fun () ->
@@ -2688,7 +2435,6 @@ let e22 () =
         points.(k * 7 mod Array.length points);
       ];
     let executed = Netsim.Sim.executed sim - executed0 in
-    let cache = Rvaas.Reach_cache.hit_rate (Rvaas.Service.reach_cache (Workload.Scenario.service s)) in
     let frontend = Rvaas.Service.frontend_stats (Workload.Scenario.service s) in
     let coalesce_rate =
       if frontend.Rvaas.Frontend.admitted = 0 then 0.0
@@ -2696,10 +2442,10 @@ let e22 () =
         float_of_int frontend.Rvaas.Frontend.coalesced
         /. float_of_int frontend.Rvaas.Frontend.admitted
     in
-    Printf.printf "%-7.0f | %9d %9.0f %8.1f | %6.1f %8.1f %7.1f | %6s\n"
+    Printf.printf "%-7.0f | %9d %9.0f %8.1f | %8.1f %7.1f | %6s\n"
       (now () -. start) executed
       (float_of_int executed /. (now_s () -. wall0))
-      step_wall (100.0 *. cache) (100.0 *. coalesce_rate)
+      step_wall (100.0 *. coalesce_rate)
       (float_of_int (e22_peak_rss_kb ()) /. 1024.0)
       (if !parity_mismatches = 0 then "ok" else "MISMATCH");
     flush stdout
@@ -2709,8 +2455,8 @@ let e22 () =
   let total_wall = now_s () -. wall0 in
   let executed = Netsim.Sim.executed sim - executed0 in
   let plumbing_stats =
-    Option.map Rvaas.Plumbing.stats
-      (Rvaas.Service.plumbing (Workload.Scenario.service s))
+    Rvaas.Plumbing.stats
+      (Option.get (Rvaas.Service.plumbing (Workload.Scenario.service s)))
   in
   Printf.printf
     "soak: %.0f s simulated in %.1f s wall — %.0f events/s sustained, peak \
@@ -2728,14 +2474,12 @@ let e22 () =
     report.Workload.Churn.storm_answers report.Workload.Churn.storm_throttled
     (!parity_checks - !parity_mismatches)
     !parity_checks;
-  (match plumbing_stats with
-  | Some st ->
-    Printf.printf
-      "plumbing: %d incremental updates, %d recompiles, %d scoped lookups, \
-       %d fallback sweeps\n"
-      st.Rvaas.Plumbing.updates st.Rvaas.Plumbing.recompiles
-      st.Rvaas.Plumbing.scoped_lookups st.Rvaas.Plumbing.fallback_sweeps
-  | None -> ());
+  Printf.printf
+    "plumbing: %d incremental updates, %d recompiles, %d scoped lookups, %d \
+     fallback sweeps\n"
+    plumbing_stats.Rvaas.Plumbing.updates plumbing_stats.Rvaas.Plumbing.recompiles
+    plumbing_stats.Rvaas.Plumbing.scoped_lookups
+    plumbing_stats.Rvaas.Plumbing.fallback_sweeps;
   if strict then begin
     let failures = ref 0 in
     let fail msg =
@@ -2876,6 +2620,11 @@ let micro () =
 
 (* ---------------------------------------------------------------- *)
 
+(* Experiments whose subject was deleted: running one prints why, and
+   EXPERIMENTS.md keeps its last measured table. *)
+let retired name why () =
+  section (Printf.sprintf "%s: retired — %s (last numbers in EXPERIMENTS.md)" name why)
+
 let experiments =
   [
     ("e1", e1);
@@ -2890,9 +2639,15 @@ let experiments =
     ("e10", e10);
     ("e11", e11);
     ("e12", e12);
-    ("e13", e13);
+    ( "e13",
+      retired "E13"
+        "it timed pooled sweep fan-out and reach-result cache hits; both \
+         paths are deleted" );
     ("e14", e14);
-    ("e15", e15);
+    ( "e15",
+      retired "E15"
+        "it timed reach-result cache eviction under rolling updates; the \
+         cache is deleted" );
     ("e16", e16);
     ("e17", e17);
     ("e18", e18);

@@ -98,7 +98,8 @@ val equal : t -> t -> bool
 val overlaps : t -> t -> bool
 
 (** [hash t] is an order-independent structural hash of the normalised
-    cube set, suitable as a compact reach-cache key component.
+    cube set, suitable as a compact key component (the front-end's
+    coalescing key uses it).
     Structurally equal sets hash equally; semantically equal sets with
     different normal forms may not. *)
 val hash : t -> int

@@ -66,7 +66,7 @@ val join : t -> t -> t
 
 (** [hash t] is a well-mixed structural hash: equal vectors hash
     equally.  Used for cube deduplication in the {!Hs} batch builder
-    and for 64-bit reach-cache keys. *)
+    and by {!Hs.hash}. *)
 val hash : t -> int
 
 (** A precomputed "required bits" view of a cube: only the words in

@@ -13,9 +13,9 @@ let default_config =
 let coalescing ?limits ?(batch_window = 0.0) ?(subsume = false) () =
   { limits; coalesce = true; batch_window; subsume }
 
-(* The coalescing key mirrors [Reach_cache.key] (injection point plus
-   a structural scope hash) extended with the query kind and, for the
-   kinds whose evaluation reads the requesting tenant, the client.
+(* The coalescing key is the injection point plus a structural scope
+   hash, extended with the query kind and, for the kinds whose
+   evaluation reads the requesting tenant, the client.
    All-int record: structural Hashtbl hashing/equality is exact. *)
 type key = {
   k_kind : int;

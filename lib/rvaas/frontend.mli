@@ -5,8 +5,8 @@
     verification service — the query stream stops looking like the
     paper's interactive workload and starts looking like a flash
     crowd: most concurrent queries are duplicates or refinements of
-    each other, and a single noisy tenant can monopolise the sweep
-    pool.  This module is the pure serving-policy layer {!Service}
+    each other, and a single noisy tenant can monopolise the
+    verifier.  This module is the pure serving-policy layer {!Service}
     puts in front of query evaluation:
 
     + {b admission} — a per-client token bucket ({!limits}: refill
@@ -16,10 +16,10 @@
       (the paper's §IV-B.1 per-client accounting turned into a
       defence).
     + {b coalescing} — identical in-flight queries are folded under
-      one computation, keyed like {!Reach_cache.key} (injection point
-      plus a structural hash of the scope, plus the query kind and —
-      for client-dependent kinds — the client).  N clients asking the
-      same question cost one sweep or one {!Plumbing} lookup; each
+      one computation, keyed by injection point, a structural hash of
+      the scope, the query kind and — for client-dependent kinds — the
+      client.  N clients asking the same question cost one
+      {!Plumbing} lookup; each
       still receives its own signed answer under its own nonce at
       finalize.
     + {b subsumption} — a [Reachable_endpoints] query whose scope is
@@ -33,7 +33,7 @@
       questions.
     + {b batching} — queries that arrive within one settle tick
       ([batch_window]) and share an injection point are pooled: their
-      scopes are unioned via {!Hspace.Hs.Builder}, one sweep runs over
+      scopes are unioned via {!Hspace.Hs.Builder}, one reach runs over
       the union, and the result is split per query by intersecting
       arrival spaces with each query's scope.
 
@@ -204,7 +204,7 @@ val queued : 'w t -> int
 
 (** [flush t] drains the queue into evaluation groups, in arrival
     order.  Entries of batchable kinds ([Reachable_endpoints]) that
-    share an injection point are grouped together (one pooled sweep);
+    share an injection point are grouped together (one pooled reach);
     everything else comes back as singleton groups.  With
     [config.subsume], entries of a group whose scope is contained in
     another member's fold into that member as slices first (catching

@@ -79,8 +79,8 @@ val set_packet_in_handler :
     (per-switch digest comparison) and false for confirming
     observations such as a poll matching the current view.  Hooks fire
     either way — the service's intercept repair is poll-driven and
-    must run on unchanged polls too — while verifier and reach-cache
-    invalidation key off [changed]. *)
+    must run on unchanged polls too — while plumbing-graph updates
+    key off [changed]. *)
 val on_snapshot_change : t -> (sw:int -> changed:bool -> unit) -> unit
 
 (** [history t] returns observations, oldest first. *)

@@ -25,15 +25,12 @@
    and bumps its stamp.  Precomputed sources record the versions of the
    switches their pass traversed and are revalidated lazily on lookup:
    a source whose traversed switches are all unchanged stays valid (a
-   rule on a switch the pass never visited cannot alter the result —
-   the same dependency argument as {!Reach_cache}).  When a burst of
-   updates between queries touches more distinct switches than
-   [churn_threshold], the delta bookkeeping is abandoned and the whole
-   graph recompiled. *)
+   rule on a switch the pass never visited cannot alter the result).
+   When a burst of updates between queries touches more distinct
+   switches than [churn_threshold], the delta bookkeeping is abandoned
+   and the whole graph recompiled. *)
 
 let width = Hspace.Field.total_width
-
-type engine = [ `Sweep | `Compiled ]
 
 (* Where a rule output lands, resolved through the wiring plan at
    compile time.  Nodes are per ingress port, so flood expansion and

@@ -1,13 +1,13 @@
 (** Compiled plumbing graph: equivalence-class reachability without
     per-query sweeps (paper §IV-A.2's scale-up lineage).
 
-    {!Verifier.reach_in} pays a full rule-graph traversal per query;
-    the delta-aware {!Reach_cache} only amortises {e repeated}
-    queries.  This engine compiles a configuration view + topology
-    once into per-(switch, ingress-port) arrays of guarded rule nodes
-    — each rule's match cube, its higher-priority shadow (the exact
-    guard representation of the sweep, see {!Verifier.guarded}) and
-    its action list resolved through the trusted wiring plan — and
+    {!Verifier.reach_in} pays a full rule-graph traversal per query.
+    This engine — the only one {!Service} and {!Federation} serve
+    from — compiles a configuration view + topology once into
+    per-(switch, ingress-port) arrays of guarded rule nodes — each
+    rule's match cube, its higher-priority shadow (the exact guard
+    representation of {!Verifier}, see {!Verifier.guarded}) and its
+    action list resolved through the trusted wiring plan — and
     precomputes, per queried source, the reachable header-space sets
     of a full-space propagation.  Steady-state queries are then
     answered by intersecting the stored arrival sets with the query
@@ -29,10 +29,6 @@
     The module is single-domain: share one [t] per thread of control.
     Only {!compile} and {!warm} use the optional pool, with pure-read
     workers and all installs in the calling domain. *)
-
-(** The verification engine selector threaded through
-    {!Service}, {!Federation}, [Scenario.spec] and the CLI. *)
-type engine = [ `Sweep | `Compiled ]
 
 type t
 

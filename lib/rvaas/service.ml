@@ -11,7 +11,6 @@ type stats = {
   mutable answers_sent : int;
   mutable intercepts_reinstalled : int;
   mutable queries_reissued : int;
-  mutable sweep_faults : int;
 }
 
 type retry = { attempts : int; base_delay : float }
@@ -89,9 +88,6 @@ type t = {
   keypair : Cryptosim.Keys.keypair;
   auth_timeout : float;
   retry : retry;
-  sweep_deadline : float option;
-      (* per-task wall-clock deadline for pool sweeps; enables the
-         supervised pool path so a wedged worker cannot stall answers *)
   mutable live : bool;
       (* cleared by [kill]: a crashed controller's queued timers and
          handlers must become no-ops, not ghost answers *)
@@ -117,18 +113,11 @@ type t = {
          not yet in [open_queries] — consulted by the duplicate-
          delivery check, cleared at each flush *)
   measurement : Cryptosim.Attest.measurement;
-  mutable ctx : Verifier.ctx;
-      (* incremental verification context: guards cached across queries,
-         invalidated per switch when the monitored snapshot changes *)
-  mutable pool : Support.Pool.t;
-      (* worker pool for per-access-point sweeps (isolation queries) *)
-  cache : Reach_cache.t;
-      (* reach results keyed by (src, hs-hash); the snapshot-change
-         hook evicts only entries that traversed the changed switch *)
-  plumbing : Plumbing.t option;
-      (* the compiled engine, present iff [engine = `Compiled]: reach
-         questions become graph lookups, maintained incrementally by
-         the snapshot-change hook *)
+  pool : Support.Pool.t;
+      (* worker pool for the cross-source warm of each front-end flush *)
+  plumbing : Plumbing.t;
+      (* the compiled engine: reach questions are graph lookups,
+         maintained incrementally by the snapshot-change hook *)
 }
 
 let code_identity = "rvaas-service-v1"
@@ -147,106 +136,10 @@ let fresh_hex t = Printf.sprintf "%015x" (Support.Rng.bits t.rng)
 
 let topo t = Netsim.Net.topology t.net
 
-let set_pool t pool = t.pool <- pool
+(* Always [Some]: the option is kept because perfbench matches on it. *)
+let plumbing t = Some t.plumbing
 
-let pool t = t.pool
-
-let reach_cache t = t.cache
-
-let plumbing t = t.plumbing
-
-let engine t : Plumbing.engine =
-  match t.plumbing with Some _ -> `Compiled | None -> `Sweep
-
-let reach t ~src_sw ~src_port ~hs =
-  match t.plumbing with
-  | Some p -> Plumbing.reach p ~src_sw ~src_port ~hs
-  | None -> (
-    let key = Reach_cache.key ~src_sw ~src_port ~hs in
-    match Reach_cache.find t.cache key with
-    | Some r -> r
-    | None ->
-      let r = Verifier.reach_in t.ctx ~src_sw ~src_port ~hs in
-      Reach_cache.add t.cache key ~snapshot:(Monitor.snapshot t.monitor) r;
-      r)
-
-(* A frozen, read-only copy of the believed per-switch rule lists:
-   worker domains must not race on the live snapshot hashtable. *)
-let frozen_flows t =
-  let snapshot = Monitor.snapshot t.monitor in
-  let tables = Hashtbl.create 32 in
-  List.iter
-    (fun sw -> Hashtbl.replace tables sw (Snapshot.flows snapshot ~sw))
-    (Snapshot.switches snapshot);
-  fun sw -> Option.value ~default:[] (Hashtbl.find_opt tables sw)
-
-(* One reach pass per source endpoint, cache-first; misses are
-   partitioned over the pool (per-worker contexts on a frozen flow
-   view).  Returns results in input order. *)
-let reach_each_sweep t ~hs points =
-  let snapshot = Monitor.snapshot t.monitor in
-  let looked_up =
-    List.map
-      (fun (p : Verifier.endpoint) ->
-        let key = Reach_cache.key ~src_sw:p.sw ~src_port:p.port ~hs in
-        (p, key, Reach_cache.find t.cache key))
-      points
-  in
-  let missing =
-    List.filter_map
-      (fun (p, key, r) -> if Option.is_none r then Some (p, key) else None)
-      looked_up
-  in
-  let computed =
-    match missing with
-    | [] -> []
-    | _ when Support.Pool.size t.pool > 1 && List.length missing > 1 ->
-      let flows_of = frozen_flows t in
-      let topology = topo t in
-      let init () = Verifier.context ~flows_of topology in
-      let f ctx ((p : Verifier.endpoint), _key) =
-        Verifier.reach_in ctx ~src_sw:p.sw ~src_port:p.port ~hs
-      in
-      let xs = Array.of_list missing in
-      (match t.sweep_deadline with
-      | Some deadline ->
-        (* Supervised: a worker that raises or wedges past [deadline]
-           costs one sequential retry, never a stuck answer. *)
-        Support.Pool.parmap_supervised t.pool ~deadline
-          ~on_fault:(fun _ -> t.stats.sweep_faults <- t.stats.sweep_faults + 1)
-          ~init ~f xs
-      | None -> Support.Pool.parmap_init t.pool ~init ~f xs)
-      |> Array.to_list
-    | _ ->
-      List.map
-        (fun ((p : Verifier.endpoint), _key) ->
-          Verifier.reach_in t.ctx ~src_sw:p.sw ~src_port:p.port ~hs)
-        missing
-  in
-  let fresh = Hashtbl.create 16 in
-  List.iter2
-    (fun ((p : Verifier.endpoint), key) r ->
-      Reach_cache.add t.cache key ~snapshot r;
-      Hashtbl.replace fresh p r)
-    missing computed;
-  List.map
-    (fun (p, _, cached) ->
-      match cached with
-      | Some r -> (p, r)
-      | None -> (p, Hashtbl.find fresh p))
-    looked_up
-
-let reach_each t ~hs points =
-  match t.plumbing with
-  | Some plumbing ->
-    (* Compiled engine: each point is a precomputed-source lookup —
-       cheap enough that partitioning over the pool would cost more in
-       coordination than it saves (and [Plumbing.t] is single-domain). *)
-    List.map
-      (fun (p : Verifier.endpoint) ->
-        (p, Plumbing.reach plumbing ~src_sw:p.sw ~src_port:p.port ~hs))
-      points
-  | None -> reach_each_sweep t ~hs points
+let reach t ~src_sw ~src_port ~hs = Plumbing.reach t.plumbing ~src_sw ~src_port ~hs
 
 (* Restrict a client scope to IP traffic; queries never see non-IP
    control frames. *)
@@ -331,20 +224,17 @@ let evaluate t ~client ~sw ~port (query : Query.t) =
           Directory.client_of_host t.directory ~host:ep.host = Some client)
         points
     in
-    (* One forward reachability pass per candidate access point — the
-       system's hot path.  Cached results are reused (digest-keyed, so
-       only valid for the current configuration); the remaining passes
-       are partitioned over the worker pool.  A point is a source when
-       its traffic can arrive at any of the client's own points. *)
-    let candidates =
-      List.filter (fun (src : Verifier.endpoint) -> not (List.mem src targets)) points
-    in
+    (* One compiled lookup per candidate access point — the system's
+       hot path.  A point is a source when its traffic can arrive at
+       any of the client's own points. *)
     let sources =
-      List.filter_map
-        (fun ((src : Verifier.endpoint), (r : Verifier.reach_result)) ->
-          if List.exists (fun (ep, _) -> List.mem ep targets) r.endpoints then Some src
-          else None)
-        (reach_each t ~hs candidates)
+      List.filter
+        (fun (src : Verifier.endpoint) ->
+          (not (List.mem src targets))
+          && List.exists
+               (fun (ep, _) -> List.mem ep targets)
+               (reach t ~src_sw:src.sw ~src_port:src.port ~hs).endpoints)
+        points
     in
     (* The client's own points always belong in the report (they can
        reach the client by definition of its isolation domain). *)
@@ -649,7 +539,7 @@ let open_query t ~client ~nonce ~sw ~port ~ip query =
     ()
 
 (* A rewrite anywhere on the swept region makes the union split
-   unsound: arrival spaces of the pooled sweep may mix headers that
+   unsound: arrival spaces of the union lookup may mix headers that
    entered under different members' scopes.  Conservative and cheap —
    scan the traversed switches (a superset of any member's traversal)
    for rewriting actions. *)
@@ -738,7 +628,7 @@ let open_entry t (e : requester Frontend.entry) =
     open_with t ~key ~query:e.e_query ~base ~targets ~requesters:e.e_waiters ()
 
 (* A batch of [Reachable_endpoints] entries sharing one injection
-   point: union the scopes, run one sweep over the union, split the
+   point: union the scopes, run one reach over the union, split the
    arrival spaces back per member.  Exact absent rewrites — forward
    propagation is linear in the injected set, so
    [arrival(S1) = arrival(S1 ∪ S2) ∩ S1] cube by cube; with rewrites
@@ -804,19 +694,16 @@ let flush_frontend t =
        point this flush evaluates, so cold compiled sources derive in
        parallel across the worker pool instead of sequentially as
        each group opens. *)
-    (match t.plumbing with
-    | Some plumbing ->
-      let points =
-        List.sort_uniq compare
-          (List.concat_map
-             (List.filter_map (fun (e : requester Frontend.entry) ->
-                  match e.e_query.Query.kind with
-                  | Query.Reachable_endpoints -> Some (e.e_sw, e.e_port)
-                  | _ -> None))
-             groups)
-      in
-      if List.length points > 1 then Plumbing.warm ~pool:t.pool plumbing ~points
-    | None -> ());
+    let points =
+      List.sort_uniq compare
+        (List.concat_map
+           (List.filter_map (fun (e : requester Frontend.entry) ->
+                match e.e_query.Query.kind with
+                | Query.Reachable_endpoints -> Some (e.e_sw, e.e_port)
+                | _ -> None))
+           groups)
+    in
+    if List.length points > 1 then Plumbing.warm ~pool:t.pool t.plumbing ~points;
     List.iter
       (function
         | [] -> ()
@@ -1041,14 +928,10 @@ let repair_intercepts t ~sw =
       end)
     (Wire.intercept_specs ())
 
-let create ?pool ?(cache_capacity = 4096) ?(retry = no_retry) ?sweep_deadline
-    ?(engine : Plumbing.engine = `Sweep) ?(frontend = Frontend.default_config) net
-    monitor ~directory ~geo ~keypair ~auth_timeout () =
+let create ?pool ?(retry = no_retry) ?(frontend = Frontend.default_config) net monitor
+    ~directory ~geo ~keypair ~auth_timeout () =
   if retry.attempts < 1 then invalid_arg "Service.create: retry.attempts must be >= 1";
   if retry.base_delay < 0.0 then invalid_arg "Service.create: negative retry.base_delay";
-  (match sweep_deadline with
-  | Some d when d <= 0.0 -> invalid_arg "Service.create: sweep_deadline must be positive"
-  | _ -> ());
   let t =
     {
       net;
@@ -1058,7 +941,6 @@ let create ?pool ?(cache_capacity = 4096) ?(retry = no_retry) ?sweep_deadline
       keypair;
       auth_timeout;
       retry;
-      sweep_deadline;
       live = true;
       stats =
         {
@@ -1074,7 +956,6 @@ let create ?pool ?(cache_capacity = 4096) ?(retry = no_retry) ?sweep_deadline
           answers_sent = 0;
           intercepts_reinstalled = 0;
           queries_reissued = 0;
-          sweep_faults = 0;
         };
       rng = Support.Rng.split (Netsim.Sim.rng (Netsim.Net.sim net));
       pending = Hashtbl.create 16;
@@ -1084,41 +965,23 @@ let create ?pool ?(cache_capacity = 4096) ?(retry = no_retry) ?sweep_deadline
       subsumable = Hashtbl.create 16;
       queued_nonces = Hashtbl.create 16;
       measurement = Cryptosim.Attest.measure ~code_identity;
-      ctx =
-        Verifier.context
+      pool = (match pool with Some p -> p | None -> Support.Pool.global ());
+      plumbing =
+        (* Compiled at create time over the (still mostly empty)
+           snapshot; the snapshot-change hook below keeps it current as
+           installs and polls land.  The initial compile stays off the
+           pool: create runs before any query and the tables are tiny
+           at this point. *)
+        Plumbing.compile
           ~flows_of:(fun sw -> Snapshot.flows (Monitor.snapshot monitor) ~sw)
           (Netsim.Net.topology net);
-      pool = (match pool with Some p -> p | None -> Support.Pool.global ());
-      cache = Reach_cache.create ~capacity:cache_capacity ();
-      plumbing =
-        (match engine with
-        | `Sweep -> None
-        | `Compiled ->
-          (* Compiled at create time over the (still mostly empty)
-             snapshot; the snapshot-change hook below keeps it current
-             as installs and polls land.  The initial compile stays
-             off the pool: create runs before any query and the tables
-             are tiny at this point. *)
-          Some
-            (Plumbing.compile
-               ~flows_of:(fun sw -> Snapshot.flows (Monitor.snapshot monitor) ~sw)
-               (Netsim.Net.topology net)));
     }
   in
   Monitor.on_snapshot_change monitor (fun ~sw ~changed ->
-      if changed then begin
-        Verifier.invalidate_switch t.ctx ~sw;
-        (* Delta invalidation: only entries whose reach pass traversed
-           [sw] can be stale; everything else survives the Flow-Mod. *)
-        Reach_cache.invalidate_switch t.cache ~sw
-          ~digest:(Snapshot.switch_digest (Monitor.snapshot monitor) ~sw);
-        (* The compiled graph absorbs the same delta: re-derive [sw]'s
-           node slice, leave every other switch and every
-           non-traversing precomputed source untouched. *)
-        match t.plumbing with
-        | Some plumbing -> Plumbing.update plumbing ~sw
-        | None -> ()
-      end;
+      (* The compiled graph absorbs the delta: re-derive [sw]'s node
+         slice, leave every other switch and every non-traversing
+         precomputed source untouched. *)
+      if changed then Plumbing.update t.plumbing ~sw;
       (* Intercept repair runs on every observation, changed or not:
          it is poll-driven and must converge even when the repair
          Flow-Mod itself was lost (see [repair_intercepts]). *)

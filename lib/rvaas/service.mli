@@ -4,7 +4,7 @@
     attested controller:
 
     + {b configuration monitoring} — delegated to {!Monitor};
-    + {b logical verification} — {!Verifier} reachability over the
+    + {b logical verification} — {!Plumbing} reachability over the
       monitored {!Snapshot} and the trusted wiring plan;
     + {b in-band testing & client interaction} — interception of
       magic-header client requests (Packet-In), dispatch of signed
@@ -46,9 +46,6 @@ type stats = {
           faulty channel) *)
   mutable queries_reissued : int;
       (** in-flight queries re-driven after a crash or failover *)
-  mutable sweep_faults : int;
-      (** worker faults (raise/deadline) absorbed by the supervised
-          pool during isolation sweeps *)
 }
 
 (** Auth-request retransmission policy for lossy control channels:
@@ -70,22 +67,15 @@ type t
     [auth_timeout] is how long the service waits for auth replies
     before answering (seconds).
 
-    [pool] (default {!Support.Pool.global}, sized by [RVAAS_JOBS] or
-    the core count) runs the per-access-point sweeps of isolation
-    queries in parallel.  [cache_capacity] (default 4096) bounds the
-    digest-keyed reach-result cache.  [retry] (default {!no_retry})
-    retransmits unanswered auth requests; when the reply quorum is
-    still incomplete at finalize the answer carries [degraded = true].
-    [sweep_deadline] (default off) runs pool sweeps supervised with the
-    given per-task wall-clock deadline, so a raising or wedged worker
-    domain costs one sequential retry instead of stalling the answer.
-
-    [engine] (default [`Sweep]) selects the verification engine:
-    [`Sweep] answers each reach question with a cache-first
-    {!Verifier.reach_in} pass; [`Compiled] compiles the monitored view
-    into a {!Plumbing} graph maintained incrementally by the
-    snapshot-change hook, answering steady-state questions by lookup
-    (the reach cache and pool sweeps are bypassed).
+    Every reach question is answered by the compiled {!Plumbing} graph,
+    compiled over the monitored view at create time and maintained
+    incrementally by the snapshot-change hook: a steady-state question
+    is a lookup.  [pool] (default {!Support.Pool.global}, sized by
+    [RVAAS_JOBS] or the core count) runs the cross-source
+    {!Plumbing.warm} each front-end flush seeds.  [retry] (default
+    {!no_retry}) retransmits unanswered auth requests; when the reply
+    quorum is still incomplete at finalize the answer carries
+    [degraded = true].
 
     [frontend] (default {!Frontend.default_config}: admit everything,
     no coalescing, no settle tick — the historical behaviour) puts the
@@ -98,20 +88,16 @@ type t
     is contained in a queued or in-flight computation at the same
     injection point rides it as a slice, its answer cut out of the
     subsumer's arrival spaces at the shared finalize (rewrite-tainted
-    regions fall back to per-query evaluation).  Under [`Compiled],
-    each flush additionally seeds one pooled {!Plumbing.warm} over
-    every injection point it spans, so cold sources compile across
-    the worker pool instead of sequentially.  Recovery re-issues
-    ({!reissue}) bypass it.  Works under both engines.
+    regions fall back to per-query evaluation).  Each flush seeds one
+    pooled {!Plumbing.warm} over every injection point it spans, so
+    cold sources compile across the worker pool instead of
+    sequentially.  Recovery re-issues ({!reissue}) bypass it.
     @raise Invalid_argument on a retry policy with [attempts < 1], a
-    negative [base_delay], [sweep_deadline <= 0], or an invalid
-    front-end config (see {!Frontend.create}). *)
+    negative [base_delay], or an invalid front-end config (see
+    {!Frontend.create}). *)
 val create :
   ?pool:Support.Pool.t ->
-  ?cache_capacity:int ->
   ?retry:retry ->
-  ?sweep_deadline:float ->
-  ?engine:Plumbing.engine ->
   ?frontend:Frontend.config ->
   Netsim.Net.t ->
   Monitor.t ->
@@ -122,32 +108,14 @@ val create :
   unit ->
   t
 
-(** [set_pool t pool] replaces the worker pool (benchmarks sweep the
-    worker count on one service instance). *)
-val set_pool : t -> Support.Pool.t -> unit
-
-(** [pool t] is the pool currently in use. *)
-val pool : t -> Support.Pool.t
-
-(** [reach_cache t] exposes the incremental reach-result cache — its
-    hit/miss statistics are the subject of experiments E13 and E15, and
-    tests clear it to force cold evaluations.  When the monitored
-    snapshot of switch [s] changes, only the cached results whose reach
-    pass traversed [s] are evicted (see {!Reach_cache}); results that
-    never consulted [s]'s table remain valid by construction. *)
-val reach_cache : t -> Reach_cache.t
-
-(** [engine t] is the verification engine selected at {!create}. *)
-val engine : t -> Plumbing.engine
-
-(** [plumbing t] exposes the compiled plumbing graph when the service
-    runs with [engine:`Compiled] — its statistics are the subject of
-    experiment E18; [None] under [`Sweep]. *)
+(** [plumbing t] exposes the compiled plumbing graph — its statistics
+    are the subject of experiment E18.  Always [Some]: the option type
+    is kept for callers that predate the single engine. *)
 val plumbing : t -> Plumbing.t option
 
-(** [reach t ~src_sw ~src_port ~hs] runs one cache-first reach pass on
-    the service's verification context — the building block of every
-    query kind; exposed for tests and benchmarks. *)
+(** [reach t ~src_sw ~src_port ~hs] answers one reach question from the
+    compiled graph — the building block of every query kind; exposed
+    for tests and benchmarks. *)
 val reach :
   t -> src_sw:int -> src_port:int -> hs:Hspace.Hs.t -> Verifier.reach_result
 

@@ -51,8 +51,8 @@ val digest : t -> int64
 (** [switch_digest t ~sw] is a fingerprint of [sw]'s believed rule list
     alone (0 when never heard of).  Memoised per view and recomputed
     lazily after the next mutation of that switch, so querying it for
-    every switch between reconfigurations is cheap — the key material
-    of the incremental result cache ({!Reach_cache}). *)
+    every switch between reconfigurations is cheap — {!Monitor} compares
+    it around each observation to decide whether the switch changed. *)
 val switch_digest : t -> sw:int -> int64
 
 (** [digest_vector t] is [(sw, switch_digest)] for every monitored

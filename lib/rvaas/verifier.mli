@@ -2,7 +2,9 @@
     over a configuration view and the trusted wiring plan (paper
     §IV-A.2).
 
-    The engine propagates header-space sets through switch transfer
+    The propagation library {!Plumbing}, {!Federation} and
+    {!Traceback} share, and the uncached baseline the compiled engine
+    is measured against.  It propagates header-space sets through switch transfer
     functions derived from (believed) flow tables.  Rule guards are the
     rule's match cube minus every strictly-higher-priority cube
     applicable on the same ingress port, so overlapping priorities are
@@ -12,7 +14,7 @@
     sound and complete for reachability and traversal questions
     (forwarding is a function of (port, header)).
 
-    The engine is deliberately independent of {!Snapshot}: any
+    It is deliberately independent of {!Snapshot}: any
     [flows_of] function works, so tests can verify the *actual* tables
     and compare against simulation — the repository's central
     correctness property. *)
@@ -42,8 +44,8 @@ type reach_result = {
     strictly-higher-priority cubes overlapping it (its "shadow"),
     subtracted lazily at propagation time.  Exposed so the compiled
     plumbing engine ({!Plumbing}) reuses exactly the shadowing
-    semantics of the sweep — any divergence between the two engines
-    must come from graph bookkeeping, never from guard derivation. *)
+    semantics of {!reach_in} — any divergence between the two must
+    come from graph bookkeeping, never from guard derivation. *)
 type guarded = {
   g_spec : Ofproto.Flow_entry.spec;
   g_cube : Hspace.Tern.t;  (** the rule's match cube *)

@@ -2,8 +2,9 @@
 
     Header-space verification is embarrassingly parallel across query
     sources, so the hot paths ({!Rvaas.Verifier.sources_reaching}, the
-    isolation sweep in {!Rvaas.Service}, {!Rvaas.Federation} fan-out)
-    partition their work over a pool of OCaml 5 domains.  The pool is
+    per-switch and per-source passes of {!Rvaas.Plumbing.compile} and
+    {!Rvaas.Plumbing.warm}) partition their work over a pool of OCaml 5
+    domains.  The pool is
     deliberately small and dependency-free:
 
     - [parmap] preserves input order, so parallel and sequential runs
@@ -60,67 +61,6 @@ val parmap_init : t -> init:(unit -> 'c) -> f:('c -> 'a -> 'b) -> 'a array -> 'b
 
 (** [map_list t f xs] is [parmap] over a list. *)
 val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
-
-(** {1 Supervised sweeps}
-
-    {!parmap_supervised} trades a little latency for liveness: the
-    caller acts as a supervisor instead of taking tasks, so a worker
-    that raises — or wedges past a wall-clock deadline — costs one
-    sequential retry rather than the whole sweep.  This is what keeps
-    the verification service answering queries when a verifier context
-    hits a pathological input (the paper's availability requirement:
-    the verifier must outlive the faults of what it audits). *)
-
-(** Why a task left the parallel path. *)
-type fault_reason =
-  | Task_raised of exn  (** the task function raised *)
-  | Init_raised of exn  (** the worker's [init] raised (slot poisoned) *)
-  | Deadline_exceeded of float
-      (** ran past the deadline (seconds); its domain was abandoned *)
-
-type fault = {
-  fault_index : int;  (** input index of the affected task *)
-  fault_slot : int;  (** pool slot of the domain that ran it *)
-  reason : fault_reason;
-}
-
-val pp_fault_reason : Format.formatter -> fault_reason -> unit
-
-(** [parmap_supervised t ?deadline ?poll_interval ?on_fault ~init ~f xs]
-    is {!parmap_init} under supervision:
-
-    - a task that raises (or lands on a slot whose [init] raised) is
-      retried sequentially in the caller; only a retry that {e also}
-      fails re-raises (smallest input index first, like {!parmap});
-    - with [?deadline] (wall-clock seconds per task), a task running
-      past it is abandoned: its domain is marked zombie (OCaml domains
-      cannot be killed — any late result is discarded), a replacement
-      domain is spawned on a fresh slot, and the task is retried
-      sequentially in the caller;
-    - every incident is reported to [?on_fault] from the caller's
-      domain before the sweep returns;
-    - results are order-preserving and identical to a sequential run.
-
-    [?poll_interval] (default 1ms) is how often the supervisor scans
-    for deadline overruns.  [?clock] (default [Unix.gettimeofday])
-    supplies the wall clock used to stamp task starts and judge
-    deadline expiry — tests inject a deterministic clock so deadline
-    behaviour cannot race slow CI runners.  Degrades to a sequential
-    map exactly when {!parmap} would. *)
-val parmap_supervised :
-  t ->
-  ?deadline:float ->
-  ?poll_interval:float ->
-  ?clock:(unit -> float) ->
-  ?on_fault:(fault -> unit) ->
-  init:(unit -> 'c) ->
-  f:('c -> 'a -> 'b) ->
-  'a array ->
-  'b array
-
-(** [respawns t] counts worker domains respawned after deadline
-    abandonment over the pool's lifetime. *)
-val respawns : t -> int
 
 (** [shutdown t] stops and joins the worker domains.  Subsequent calls
     on [t] degrade to sequential maps; shutdown is idempotent. *)

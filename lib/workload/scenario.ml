@@ -27,7 +27,7 @@ type spec = {
   jurisdictions : string list;
   ha : Rvaas.Failover.config option;
   persist : persist option;
-  engine : Rvaas.Plumbing.engine;
+  engine : [ `Compiled ];  (* kept for perfbench; one engine serves *)
   frontend : Rvaas.Frontend.config;
   range_hosts : int;
 }
@@ -52,7 +52,7 @@ let default_spec topo =
     jurisdictions = [ "EU"; "US"; "CH" ];
     ha = None;
     persist = None;
-    engine = `Sweep;
+    engine = `Compiled;
     frontend = Rvaas.Frontend.default_config;
     range_hosts = 0;
   }
@@ -143,7 +143,7 @@ let build spec =
         ?conn ~polling:spec.polling ()
     in
     let service =
-      Rvaas.Service.create ~retry:spec.auth_retry ~engine:spec.engine
+      Rvaas.Service.create ~retry:spec.auth_retry
         ~frontend:spec.frontend net monitor ~directory ~geo:geo_truth
         ~keypair:service_keypair ~auth_timeout:spec.auth_timeout ()
     in
@@ -157,7 +157,7 @@ let build spec =
           ~faults:spec.rvaas_faults ?poll_retry:spec.poll_retry ~polling:spec.polling ()
       in
       let service =
-        Rvaas.Service.create ~retry:spec.auth_retry ~engine:spec.engine
+        Rvaas.Service.create ~retry:spec.auth_retry
           ~frontend:spec.frontend net monitor ~directory ~geo:geo_truth
           ~keypair:service_keypair ~auth_timeout:spec.auth_timeout ()
       in

@@ -46,10 +46,9 @@ type spec = {
   persist : persist option;
       (** when set (requires [ha]), the journal is mirrored into a
           segmented on-disk store reachable via {!val-store} *)
-  engine : Rvaas.Plumbing.engine;
-      (** the service's verification engine: per-query sweeps
-          ([`Sweep], the default) or the compiled plumbing graph
-          ([`Compiled]) maintained incrementally from monitor deltas *)
+  engine : [ `Compiled ];
+      (** kept so perfbench's [engine = `Compiled] still compiles: the
+          service always serves from the compiled plumbing graph *)
   frontend : Rvaas.Frontend.config;
       (** the service's multi-tenant front-end (admission, coalescing,
           subsumption, batching); {!Rvaas.Frontend.default_config} —

@@ -1,5 +1,9 @@
 (* System test: drive the built [rvaas_cli] binary.
 
+   [query] and [attack] run one client query against a fresh
+   deployment — benign, then after a join attack — and must print the
+   policy verdict the serving engine has always produced for them.
+
    [persist run --dir D] journals a monitored deployment into a
    segmented store and exits without closing it; [persist recover
    --dir D], in a fresh process, rebuilds the controller state from
@@ -73,20 +77,30 @@ let round_trip extra () =
       check (Alcotest.list Alcotest.string) "recovered digests equal the live ones" ran
         recovered)
 
-let test_help_lists_dir () =
-  let code, help = run_cli [ "persist"; "--help=plain" ] in
+let help_mentions cmd opt =
+  let code, help = run_cli [ cmd; "--help=plain" ] in
   check Alcotest.int "help exits 0" 0 code;
-  let mentions opt =
-    List.exists
-      (fun l ->
-        let l = String.trim l in
-        String.length l >= String.length opt
-        && String.sub l 0 (String.length opt) = opt)
-      help
-  in
-  check Alcotest.bool "--dir documented" true (mentions "--dir");
-  check Alcotest.bool "no --state option" false (mentions "--state");
-  check Alcotest.bool "no --segmented option" false (mentions "--segmented")
+  List.exists
+    (fun l ->
+      let l = String.trim l in
+      String.length l >= String.length opt && String.sub l 0 (String.length opt) = opt)
+    help
+
+let test_help_lists_dir () =
+  check Alcotest.bool "--dir documented" true (help_mentions "persist" "--dir");
+  check Alcotest.bool "no --state option" false (help_mentions "persist" "--state");
+  check Alcotest.bool "no --segmented option" false (help_mentions "persist" "--segmented")
+
+let small_world = [ "--topo"; "linear"; "--size"; "4"; "--seed"; "42" ]
+
+let verdict cmd ~exit_code ~line () =
+  let code, out = run_cli (cmd :: small_world) in
+  check Alcotest.int "exit code" exit_code code;
+  check Alcotest.bool (Printf.sprintf "prints %S" line) true (List.mem line out)
+
+let test_help_has_no_engine () =
+  check Alcotest.bool "--kind documented" true (help_mentions "query" "--kind");
+  check Alcotest.bool "no --engine option" false (help_mentions "query" "--engine")
 
 let () =
   if Array.length Sys.argv > 1 then cli := Sys.argv.(1);
@@ -100,5 +114,14 @@ let () =
             (round_trip [ "--encrypt" ]);
           Alcotest.test_case "help lists --dir, not --state" `Quick
             test_help_lists_dir;
+        ] );
+      ( "query",
+        [
+          Alcotest.test_case "benign query is clean" `Quick
+            (verdict "query" ~exit_code:0 ~line:"policy check: clean");
+          Alcotest.test_case "join attack raises the alarm" `Quick
+            (verdict "attack" ~exit_code:2
+               ~line:"ALARM: unknown access point sw=1 port=0 can reach the client");
+          Alcotest.test_case "help has no --engine" `Quick test_help_has_no_engine;
         ] );
     ]

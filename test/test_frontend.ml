@@ -300,16 +300,14 @@ let endpoint_points (a : Rvaas.Query.answer) =
        (fun (ep : Rvaas.Query.endpoint_report) -> (ep.sw, ep.port))
        a.Rvaas.Query.endpoints)
 
-let batch_parity engine () =
+let test_batch_parity () =
   let topo = Workload.Topogen.linear p 5 in
   let scopes s =
     [ scope_b (ip_of s ~host:2); scope_b (ip_of s ~host:4); scope_a () ]
   in
   (* Reference: the same questions evaluated one by one on a service
      with the front-end off. *)
-  let ref_s =
-    Workload.Scenario.build (spec_with topo (fun d -> { d with engine }))
-  in
+  let ref_s = Workload.Scenario.build (Workload.Scenario.default_spec topo) in
   (* Let the monitor complete a poll sweep: [evaluate] reads the
      believed configuration. *)
   settle ref_s;
@@ -330,11 +328,10 @@ let batch_parity engine () =
       (scopes ref_s)
   in
   (* Subject: the same three queries sent back to back by one agent,
-     pooled by the settle tick into one sweep over the unioned scope. *)
+     pooled by the settle tick into one reach over the unioned scope. *)
   let s =
     Workload.Scenario.build
-      (spec_with topo (fun d ->
-           { d with engine; frontend = F.coalescing ~batch_window:0.002 () }))
+      (spec_with topo (fun d -> { d with frontend = F.coalescing ~batch_window:0.002 () }))
   in
   settle s;
   let agent = Workload.Scenario.agent s ~host:pt.Rvaas.Verifier.host in
@@ -415,16 +412,12 @@ let subsume_round s (pt : Rvaas.Verifier.endpoint) ~broad ~narrow =
    against [Verifier_ref] independently of the subsumption machinery.
    With [attack] set, an exfiltration rewrite taints the region and the
    service must fall back to per-query evaluation — same verdicts. *)
-let prop_subsume_parity engine ?attack ~name () =
+let prop_subsume_parity ?attack ~name () =
   let topo = Workload.Topogen.linear p 5 in
   let s =
     Workload.Scenario.build
       (spec_with topo (fun d ->
-           {
-             d with
-             engine;
-             frontend = F.coalescing ~batch_window:0.002 ~subsume:true ();
-           }))
+           { d with frontend = F.coalescing ~batch_window:0.002 ~subsume:true () }))
   in
   (match attack with
   | Some a ->
@@ -561,8 +554,7 @@ let () =
           Alcotest.test_case "coalescing fan-in" `Quick test_service_coalescing;
           Alcotest.test_case "signed throttle verdict" `Quick
             test_service_throttle_signed;
-          Alcotest.test_case "batch parity (sweep)" `Quick (batch_parity `Sweep);
-          Alcotest.test_case "batch parity (compiled)" `Quick (batch_parity `Compiled);
+          Alcotest.test_case "batch parity (compiled)" `Quick test_batch_parity;
           Alcotest.test_case "subsumption fan-in" `Quick test_service_subsume_fanin;
           Alcotest.test_case "taint fallback" `Quick
             test_service_subsume_taint_fallback;
@@ -572,15 +564,9 @@ let () =
       ( "subsume-parity",
         [
           QCheck_alcotest.to_alcotest
-            (prop_subsume_parity `Sweep ~name:"sliced = direct (sweep)" ());
+            (prop_subsume_parity ~name:"sliced = direct (compiled)" ());
           QCheck_alcotest.to_alcotest
-            (prop_subsume_parity `Compiled ~name:"sliced = direct (compiled)" ());
-          QCheck_alcotest.to_alcotest
-            (prop_subsume_parity `Sweep
-               ~attack:(Sdnctl.Attack.Exfiltrate { victim_host = 2; attacker_host = 4 })
-               ~name:"sliced = direct under taint (sweep)" ());
-          QCheck_alcotest.to_alcotest
-            (prop_subsume_parity `Compiled
+            (prop_subsume_parity
                ~attack:(Sdnctl.Attack.Exfiltrate { victim_host = 2; attacker_host = 4 })
                ~name:"sliced = direct under taint (compiled)" ());
         ] );

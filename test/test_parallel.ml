@@ -1,8 +1,10 @@
 (* Tier-1 coverage for the parallel + incremental verification engine:
-   pooled sweeps must be observationally identical to the sequential
-   paths (byte-for-byte on the header spaces), and the digest-keyed
-   reach cache must never mask a reconfiguration — the rule-injection
-   attack has to surface even when the previous answer was cached. *)
+   pooled passes must be observationally identical to the sequential
+   paths (byte-for-byte on the header spaces), the compiled engine
+   must never mask a reconfiguration — the rule-injection attack has
+   to surface even though the previous answer came from precomputed
+   sources — and a federated query must reach exactly what a global
+   pass over the whole internetwork reaches. *)
 
 let check = Alcotest.check
 
@@ -49,7 +51,7 @@ let test_sources_reaching_equal topo () =
       end)
     (Rvaas.Verifier.access_points topo)
 
-(* ---- Service isolation query: parallel = sequential ---- *)
+(* ---- Service isolation query: pooled warm = sequential warm ---- *)
 
 let query_point s =
   let topo = Netsim.Net.topology s.Workload.Scenario.net in
@@ -68,91 +70,124 @@ let probes_fingerprint probes =
     (fun (ep : Rvaas.Verifier.endpoint) -> Printf.sprintf "%d/%d/%d" ep.host ep.sw ep.port)
     probes
 
+(* Two graphs compiled over the same monitored view, one warmed over
+   every access point across the pool and one sequentially, must give
+   the same isolation verdict — and the same one the service serves. *)
 let test_service_isolation_equal () =
   let s = build (Workload.Topogen.fat_tree Workload.Topogen.default_params ~k:4) in
-  let cache = Rvaas.Service.reach_cache s.service in
-  Rvaas.Service.set_pool s.service (Support.Pool.create 1);
-  Rvaas.Reach_cache.invalidate cache;
-  let answer_seq, probes_seq = evaluate_isolation s in
-  Rvaas.Service.set_pool s.service (Lazy.force pool4);
-  Rvaas.Reach_cache.invalidate cache;
-  let answer_par, probes_par = evaluate_isolation s in
+  let topo = Netsim.Net.topology s.net in
+  let snapshot = Rvaas.Monitor.snapshot s.monitor in
+  let flows_of sw = Rvaas.Snapshot.flows snapshot ~sw in
+  let points = Rvaas.Verifier.access_points topo in
+  let warmed pool =
+    let p = Rvaas.Plumbing.compile ~flows_of topo in
+    Rvaas.Plumbing.warm ?pool p
+      ~points:(List.map (fun (ep : Rvaas.Verifier.endpoint) -> (ep.sw, ep.port)) points);
+    p
+  in
+  let hs = Rvaas.Verifier.ip_traffic_hs () in
+  let own (ep : Rvaas.Verifier.endpoint) =
+    Rvaas.Directory.client_of_host s.directory ~host:ep.host = Some 0
+  in
+  let targets = List.filter own points in
+  let verdict p =
+    targets
+    @ List.filter
+        (fun (src : Rvaas.Verifier.endpoint) ->
+          (not (own src))
+          && List.exists
+               (fun (ep, _) -> List.mem ep targets)
+               (Rvaas.Plumbing.reach p ~src_sw:src.sw ~src_port:src.port ~hs).endpoints)
+        points
+  in
+  let seq = warmed None and par = warmed (Some (Lazy.force pool4)) in
+  check Alcotest.bool "pooled warm compiled sources" true
+    ((Rvaas.Plumbing.stats par).pool_warms > 0);
   check
     Alcotest.(list string)
-    "probe list identical" (probes_fingerprint probes_seq)
-    (probes_fingerprint probes_par);
-  check Alcotest.int "same endpoint count"
-    (List.length answer_seq.Rvaas.Query.endpoints)
-    (List.length answer_par.Rvaas.Query.endpoints)
+    "pooled verdict = sequential verdict"
+    (probes_fingerprint (verdict seq))
+    (probes_fingerprint (verdict par));
+  check
+    Alcotest.(list string)
+    "service serves the same verdict"
+    (probes_fingerprint (verdict par))
+    (probes_fingerprint (snd (evaluate_isolation s)))
 
-(* ---- Result cache: hits on repeats, never masks an attack ---- *)
+(* ---- Compiled engine: repeats agree, never masks an attack ---- *)
 
-let test_cache_attack_detected () =
+let test_compiled_attack_detected () =
   let s = build (Workload.Topogen.fat_tree Workload.Topogen.default_params ~k:4) in
-  let cache = Rvaas.Service.reach_cache s.service in
-  let stats = Rvaas.Reach_cache.stats cache in
+  let stats =
+    Rvaas.Plumbing.stats (Option.get (Rvaas.Service.plumbing s.service))
+  in
   let _, before = evaluate_isolation s in
-  let hits0 = stats.Rvaas.Reach_cache.hits in
-  let _, warm = evaluate_isolation s in
+  let _, repeat = evaluate_isolation s in
   check
     Alcotest.(list string)
-    "warm answer identical" (probes_fingerprint before) (probes_fingerprint warm);
-  check Alcotest.bool "repeat query served from cache" true
-    (stats.Rvaas.Reach_cache.hits > hits0);
+    "repeat answer identical" (probes_fingerprint before) (probes_fingerprint repeat);
+  let updates0 = stats.Rvaas.Plumbing.updates in
   (* The attacker (client 1's host) injects Flow-Mods joining client
      0's isolation domain.  The monitor's snapshot-change hook must
-     evict the cached results that traversed the modified switch so
-     the next evaluation sees the new rules. *)
+     push the delta into the graph so the next lookup sees the new
+     rules instead of the stale precomputed sources. *)
   Sdnctl.Attack.launch s.net s.addressing
     ~conn:(Sdnctl.Provider.conn s.provider)
     (Sdnctl.Attack.Join { victim_client = 0; attacker_host = 1 });
   Workload.Scenario.run s ~until:(Netsim.Sim.now (Netsim.Net.sim s.net) +. 0.2);
-  check Alcotest.bool "snapshot change evicted stale entries" true
-    (stats.Rvaas.Reach_cache.delta_evictions > 0);
+  check Alcotest.bool "snapshot change reached the graph" true
+    (stats.Rvaas.Plumbing.updates > updates0);
   let _, after = evaluate_isolation s in
   let before_fp = probes_fingerprint before in
-  check Alcotest.bool "attacker's access point surfaces despite caching" true
+  check Alcotest.bool "attacker's access point surfaces" true
     (List.exists (fun p -> not (List.mem p before_fp)) (probes_fingerprint after))
 
-(* ---- Federation fan-out: parallel = sequential ---- *)
+(* ---- Federation: handoffs reach what a global pass reaches ---- *)
 
-let test_federation_parallel_equal () =
+let test_federation_equals_global () =
   let switches = 9 in
   let topo = Workload.Topogen.linear Workload.Topogen.default_params switches in
   let s = build ~clients:1 ~isolation:false topo in
+  let flows_of = Workload.Scenario.actual_flows s in
   let rng = Support.Rng.create 5 in
+  (* Three providers of three switches each; by default every domain
+     trusts every other one. *)
   let domains =
     List.init 3 (fun d ->
         let name = Printf.sprintf "provider-%d" d in
         {
           Rvaas.Federation.name;
           member = (fun sw -> sw >= 3 * d && sw < 3 * (d + 1));
-          flows_of = Workload.Scenario.actual_flows s;
+          flows_of;
           geo = s.geo_truth;
           keypair = Cryptosim.Keys.generate rng ~owner:name;
         })
   in
   let fed = Rvaas.Federation.create topo domains in
   let hs = Rvaas.Verifier.ip_traffic_hs () in
-  let run pool : Rvaas.Federation.result =
-    Rvaas.Federation.reach ?pool fed ~start_domain:"provider-0" ~src_sw:0
-      ~src_port:0 ~hs
-  in
-  let seq = run None in
-  let par = run (Some (Lazy.force pool4)) in
-  check
-    Alcotest.(list string)
-    "endpoints" (endpoints_fingerprint seq.endpoints)
-    (endpoints_fingerprint par.endpoints);
-  check Alcotest.(list string) "jurisdictions" seq.jurisdictions par.jurisdictions;
-  check
-    Alcotest.(list string)
-    "domains traversed" seq.domains_traversed par.domains_traversed;
-  check Alcotest.int "sub-queries" seq.sub_queries par.sub_queries;
-  check
-    Alcotest.(list string)
-    "untrusted" seq.untrusted_domains par.untrusted_domains;
-  check Alcotest.bool "query actually crossed domains" true (seq.sub_queries > 0)
+  let crossed = ref 0 in
+  List.iter
+    (fun (src : Rvaas.Verifier.endpoint) ->
+      let start_domain = Option.get (Rvaas.Federation.domain_of fed ~sw:src.sw) in
+      let federated =
+        Rvaas.Federation.reach fed ~start_domain ~src_sw:src.sw ~src_port:src.port ~hs
+      in
+      let global =
+        Rvaas.Verifier.reach ~flows_of topo ~src_sw:src.sw ~src_port:src.port ~hs
+      in
+      crossed := !crossed + federated.sub_queries;
+      check Alcotest.(list string) "no untrusted domain" [] federated.untrusted_domains;
+      check
+        Alcotest.(list string)
+        "federated endpoints = global endpoints"
+        (probes_fingerprint (List.map fst global.endpoints))
+        (probes_fingerprint (List.map fst federated.endpoints));
+      List.iter2
+        (fun (_, a) (_, b) ->
+          check Alcotest.bool "same arrival space" true (Hspace.Hs.equal a b))
+        global.endpoints federated.endpoints)
+    (Rvaas.Verifier.access_points topo);
+  check Alcotest.bool "queries actually crossed domains" true (!crossed > 0)
 
 let () =
   let p = Workload.Topogen.default_params in
@@ -169,12 +204,12 @@ let () =
         [
           Alcotest.test_case "isolation parallel = sequential" `Quick
             test_service_isolation_equal;
-          Alcotest.test_case "cache never masks an attack" `Quick
-            test_cache_attack_detected;
+          Alcotest.test_case "compiled engine never masks an attack" `Quick
+            test_compiled_attack_detected;
         ] );
       ( "federation",
         [
-          Alcotest.test_case "parallel = sequential" `Quick
-            test_federation_parallel_equal;
+          Alcotest.test_case "federated = global verifier" `Quick
+            test_federation_equals_global;
         ] );
     ]

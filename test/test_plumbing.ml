@@ -60,24 +60,17 @@ let test_compiled_matches_scenario () =
   let g = Rvaas.Plumbing.graph plumbing in
   check Alcotest.bool "graph materialised" true (g.nodes > 0 && g.edges > 0)
 
-(* ---- the service's `Compiled engine stays current via the monitor
+(* ---- the service's compiled engine stays current via the monitor
    hook: after an attack lands, lookups still equal a fresh sweep of
    the believed view ---- *)
 
 let test_service_compiled_engine () =
   let topo = Workload.Topogen.linear Workload.Topogen.default_params 4 in
   let s =
-    Workload.Scenario.build
-      {
-        (Workload.Scenario.default_spec topo) with
-        seed = 5;
-        engine = `Compiled;
-      }
+    Workload.Scenario.build { (Workload.Scenario.default_spec topo) with seed = 5 }
   in
   let now () = Netsim.Sim.now (Netsim.Net.sim s.net) in
   Workload.Scenario.run s ~until:(now () +. 0.3);
-  check Alcotest.bool "service reports the compiled engine" true
-    (Rvaas.Service.engine s.service = `Compiled);
   let plumbing = Option.get (Rvaas.Service.plumbing s.service) in
   Sdnctl.Attack.launch s.net s.addressing
     ~conn:(Sdnctl.Provider.conn s.provider)
@@ -195,7 +188,6 @@ let differential_churn topo ~seed =
         (Workload.Scenario.default_spec topo) with
         clients = 2;
         seed;
-        engine = `Compiled;
         polling = Rvaas.Monitor.Periodic 0.05;
       }
   in

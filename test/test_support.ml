@@ -260,126 +260,6 @@ let test_pool_init_poison () =
     (Support.Pool.parmap_init pool ~init:(fun () -> 1) ~f:( + ) (Array.init 8 Fun.id));
   Support.Pool.shutdown pool
 
-let test_pool_supervised_ordering () =
-  let pool = Support.Pool.create 4 in
-  let xs = Array.init 50 Fun.id in
-  check (Alcotest.array Alcotest.int) "supervised preserves order"
-    (Array.map (fun x -> x * 3) xs)
-    (Support.Pool.parmap_supervised pool ~init:(fun () -> ()) ~f:(fun () x -> x * 3) xs);
-  check (Alcotest.array Alcotest.int) "empty input" [||]
-    (Support.Pool.parmap_supervised pool ~init:(fun () -> ()) ~f:(fun () x -> x) [||]);
-  Support.Pool.shutdown pool
-
-let test_pool_supervised_raise_retry () =
-  let pool = Support.Pool.create 4 in
-  (* A task that raises on its first attempt only: the supervisor
-     retries it sequentially in the caller and the sweep completes. *)
-  let first = Atomic.make true in
-  let faults = ref [] in
-  let got =
-    Support.Pool.parmap_supervised pool
-      ~on_fault:(fun f -> faults := f :: !faults)
-      ~init:(fun () -> ())
-      ~f:(fun () x ->
-        if x = 7 && Atomic.exchange first false then failwith "flaky";
-        x + 1)
-      (Array.init 16 Fun.id)
-  in
-  check (Alcotest.array Alcotest.int) "all results despite the raise"
-    (Array.init 16 (fun i -> i + 1))
-    got;
-  check Alcotest.bool "fault reported with the failing index" true
-    (List.exists
-       (fun (f : Support.Pool.fault) ->
-         f.fault_index = 7
-         && match f.reason with Support.Pool.Task_raised _ -> true | _ -> false)
-       !faults);
-  Support.Pool.shutdown pool
-
-let test_pool_supervised_raise_propagates () =
-  let pool = Support.Pool.create 4 in
-  (* Deterministic failure: the caller's sequential retry fails too, so
-     the exception propagates — smallest failing index first, matching
-     [parmap_init]. *)
-  Alcotest.check_raises "deterministic failure reaches caller" (Failure "always-3")
-    (fun () ->
-      ignore
-        (Support.Pool.parmap_supervised pool
-           ~init:(fun () -> ())
-           ~f:(fun () x ->
-             if x >= 3 then failwith (Printf.sprintf "always-%d" x) else x)
-           (Array.init 8 Fun.id)));
-  check (Alcotest.array Alcotest.int) "usable after failed sweep" [| 0; 2; 4 |]
-    (Support.Pool.parmap pool (fun i -> 2 * i) [| 0; 1; 2 |]);
-  Support.Pool.shutdown pool
-
-let test_pool_supervised_deadline () =
-  let pool = Support.Pool.create 3 in
-  (* One task wedges its worker domain well past the deadline (first
-     attempt only).  The supervisor must supersede it, respawn the
-     domain and complete the sweep via the caller — not wait out the
-     sleep. *)
-  let stuck = Atomic.make true in
-  let reasons = ref [] in
-  let got =
-    Support.Pool.parmap_supervised pool ~deadline:0.05
-      ~on_fault:(fun f -> reasons := f.Support.Pool.reason :: !reasons)
-      ~init:(fun () -> ())
-      ~f:(fun () x ->
-        if x = 2 && Atomic.exchange stuck false then Unix.sleepf 0.4;
-        x * 2)
-      (Array.init 12 Fun.id)
-  in
-  check (Alcotest.array Alcotest.int) "order-preserving results despite the hang"
-    (Array.init 12 (fun i -> i * 2))
-    got;
-  check Alcotest.bool "deadline fault reported" true
-    (List.exists
-       (function Support.Pool.Deadline_exceeded _ -> true | _ -> false)
-       !reasons);
-  check Alcotest.bool "wedged domain respawned" true (Support.Pool.respawns pool >= 1);
-  check (Alcotest.array Alcotest.int) "pool fully usable after respawn" [| 0; 1; 4; 9 |]
-    (Support.Pool.parmap pool (fun i -> i * i) (Array.init 4 Fun.id));
-  Support.Pool.shutdown pool
-
-let test_pool_supervised_deadline_deterministic () =
-  let pool = Support.Pool.create 3 in
-  (* Same scenario as above but on an injected clock, so the outcome
-     cannot race a slow runner: task 2 wedges until the supervisor
-     reports its fault (no wall-clock sleep anywhere), and "time"
-     passes only when task 7 — queued after 2, so necessarily dequeued
-     after 2 was stamped in flight — bumps the fake clock past the
-     deadline. *)
-  let clock = Atomic.make 0.0 in
-  let released = Atomic.make false in
-  let stuck = Atomic.make true in
-  let reasons = ref [] in
-  let got =
-    Support.Pool.parmap_supervised pool ~deadline:5.0
-      ~clock:(fun () -> Atomic.get clock)
-      ~on_fault:(fun f ->
-        reasons := f.Support.Pool.reason :: !reasons;
-        Atomic.set released true)
-      ~init:(fun () -> ())
-      ~f:(fun () x ->
-        if x = 2 && Atomic.exchange stuck false then
-          while not (Atomic.get released) do
-            Domain.cpu_relax ()
-          done;
-        if x = 7 then Atomic.set clock 100.0;
-        x * 2)
-      (Array.init 12 Fun.id)
-  in
-  check (Alcotest.array Alcotest.int) "order-preserving results despite the wedge"
-    (Array.init 12 (fun i -> i * 2))
-    got;
-  check Alcotest.bool "deadline fault on the wedged task" true
-    (List.exists
-       (function Support.Pool.Deadline_exceeded d -> d = 5.0 | _ -> false)
-       !reasons);
-  check Alcotest.bool "wedged domain respawned" true (Support.Pool.respawns pool >= 1);
-  Support.Pool.shutdown pool
-
 (* ---- qcheck properties ---- *)
 
 let prop_pqueue_sorted =
@@ -453,14 +333,5 @@ let () =
           Alcotest.test_case "per-worker init" `Quick test_pool_init_per_worker;
           Alcotest.test_case "edge cases" `Quick test_pool_edge_cases;
           Alcotest.test_case "init poisoning" `Quick test_pool_init_poison;
-          Alcotest.test_case "supervised ordering" `Quick test_pool_supervised_ordering;
-          Alcotest.test_case "supervised flaky retry" `Quick
-            test_pool_supervised_raise_retry;
-          Alcotest.test_case "supervised deterministic raise" `Quick
-            test_pool_supervised_raise_propagates;
-          Alcotest.test_case "supervised deadline respawn" `Quick
-            test_pool_supervised_deadline;
-          Alcotest.test_case "supervised deadline (deterministic clock)" `Quick
-            test_pool_supervised_deadline_deterministic;
         ] );
     ]
