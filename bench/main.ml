@@ -1533,6 +1533,7 @@ type drive_result = {
   d_coalesce : float;
   d_subsume : float;
   d_subsumed : int;
+  d_computations : int;  (* entries opened, slice fallbacks included *)
   d_pool_warms : int;
   d_arrivals : int;  (* answers delivered *)
 }
@@ -1629,6 +1630,7 @@ let frontend_drive ?(wave = e19_wave) ~frontend ~sampler ~n () =
     d_coalesce = Rvaas.Service.coalesce_rate s.service;
     d_subsume = Rvaas.Service.subsume_rate s.service;
     d_subsumed = fs.Rvaas.Frontend.subsumed;
+    d_computations = fs.Rvaas.Frontend.entries + fs.Rvaas.Frontend.slice_fallbacks;
     d_pool_warms = pool_warms;
     d_arrivals = !arrivals;
   }
@@ -1641,11 +1643,10 @@ let e19_sampler s =
 let e19_drive ~frontend ~n = frontend_drive ~frontend ~sampler:e19_sampler ~n ()
 
 (* Differential parity: the same differently-scoped questions sent
-   back to back by one agent (pooled by the settle tick) must report
-   exactly the endpoints per-query evaluation reports.  [scopes] picks
-   the question mix per scenario; [frontend] the pooling under test
-   (E19: coalescing + batching; E20: subsumption on top).  Returns the
-   mismatch count. *)
+   back to back by one agent (sharing the settle tick's queue) must
+   report exactly the endpoints per-query evaluation reports.
+   [scopes] picks the question mix per scenario; [frontend] the
+   sharing front-end under test.  Returns the mismatch count. *)
 let parity_check ~frontend ~scopes =
   let topo = Workload.Topogen.fat_tree Workload.Topogen.default_params ~k:4 in
   let settle s =
@@ -1719,21 +1720,24 @@ let e19 () =
   section
     "E19: multi-tenant front-end — 1k to 1M logical clients, Zipf duplicate\n\
      mix over 162 distinct questions on fat-tree-k6.  coalesced = admission +\n\
-     coalescing on (identical in-flight queries fold under one computation,\n\
-     per-client signed answers fanned out at finalize); baseline = the\n\
-     per-query seed path.  Then token-bucket throttling (noisy tenant vs\n\
-     victim) and batched-vs-per-query differential parity";
+     the one sharing rule (a query rides a queued or in-flight computation\n\
+     or slice with an equal scope as a waiter, a containing computation as\n\
+     a slice; per-client signed answers fanned out at finalize); baseline =\n\
+     the per-query seed path.  Then token-bucket throttling (noisy tenant vs\n\
+     victim) and shared-vs-per-query differential parity";
   let strict = Sys.getenv_opt "RVAAS_E19_STRICT" <> None in
   let failures = ref 0 in
   Printf.printf "%-10s %9s | %12s %9s %9s %9s | %8s\n" "mode" "clients"
     "queries/s" "p99 (ms)" "coalesce" "subsumed" "answers";
+  let row mode n r =
+    Printf.printf "%-10s %9d | %12.0f %9.2f %8.1f%% %9d | %8d%s\n%!" mode n r.d_qps
+      (1000.0 *. r.d_p99) (100.0 *. r.d_coalesce) r.d_subsumed r.d_arrivals
+      (if r.d_arrivals = n then "" else " MISSING");
+    if r.d_arrivals <> n then incr failures
+  in
   let run mode frontend n =
     let r = e19_drive ~frontend ~n in
-    Printf.printf "%-10s %9d | %12.0f %9.2f %8.1f%% %9d | %8d%s\n%!" mode n
-      r.d_qps (1000.0 *. r.d_p99) (100.0 *. r.d_coalesce) r.d_subsumed
-      r.d_arrivals
-      (if r.d_arrivals = n then "" else " MISSING");
-    if r.d_arrivals <> n then incr failures;
+    row mode n r;
     (r.d_qps, r.d_p99)
   in
   let base_qps, _ = run "baseline" Rvaas.Frontend.default_config 1_000 in
@@ -1746,14 +1750,8 @@ let e19 () =
   let qps10, _ = run "coalesced" coalesced 10_000 in
   let _ = run "coalesced" coalesced 100_000 in
   let r1m = e19_drive ~frontend:coalesced ~n:1_000_000 in
-  let qps = r1m.d_qps
-  and p99 = r1m.d_p99
-  and rate = r1m.d_coalesce
-  and arrivals = r1m.d_arrivals in
-  Printf.printf "%-10s %9d | %12.0f %9.2f %8.1f%% %9d | %8d%s\n%!" "coalesced"
-    1_000_000 qps (1000.0 *. p99) (100.0 *. rate) r1m.d_subsumed arrivals
-    (if arrivals = 1_000_000 then "" else " MISSING");
-  if arrivals <> 1_000_000 then incr failures;
+  row "coalesced" 1_000_000 r1m;
+  let p99 = r1m.d_p99 and rate = r1m.d_coalesce in
   if strict && rate < 0.9 then begin
     incr failures;
     Printf.printf "E19 strict: coalesce rate %.1f%% < 90%% at 1M clients\n"
@@ -1832,8 +1830,8 @@ let e19 () =
    exact port.  Ports are drawn uniformly, so mid and narrow questions
    are almost never byte-identical — Seagull's observation that
    verification workloads overlap far more than they repeat.
-   Identical-only coalescing must open a computation (targets + auth
-   round + finalize) per distinct variant; subsumption folds every
+   Identical-only coalescing would open a computation (targets + auth
+   round + finalize) per distinct variant; the sharing rule folds every
    variant into its point's broad computation and slices its answer
    out of the shared arrival spaces at finalize. *)
 let e20_sampler (s : Workload.Scenario.t) =
@@ -1893,15 +1891,12 @@ let e20_sampler (s : Workload.Scenario.t) =
     in
     (pt, scope, i.Sdnctl.Addressing.ip)
 
-let e20_drive ~frontend ~n =
-  frontend_drive ~wave:20_000 ~frontend ~sampler:e20_sampler ~n ()
-
 (* Sliced-vs-per-query parity: broad, mid and narrow scopes sent back
-   to back by one agent under subsumption must each report exactly the
-   endpoints per-query evaluation reports. *)
+   to back by one agent must each report exactly the endpoints
+   per-query evaluation reports. *)
 let e20_parity () =
   parity_check
-    ~frontend:(Rvaas.Frontend.coalescing ~batch_window:0.002 ~subsume:true ())
+    ~frontend:(Rvaas.Frontend.coalescing ~batch_window:0.002 ())
     ~scopes:(fun s ->
       let w = Hspace.Field.total_width in
       let subnet_cube client =
@@ -1924,46 +1919,64 @@ let e20 () =
   section
     "E20: semantic subsumption + cross-source pooling — 100k logical clients,\n\
      Zipf scope-width mix (broad tenant-wide / mid subnet+port-slice / narrow\n\
-     per-destination) on fat-tree-k6.  coalesce = PR 7's identical-only\n\
-     coalescing: every distinct variant opens its own computation.  subsume =\n\
-     the waiters-on-computation graph: a contained scope rides the broad\n\
-     computation as a slice and is answered by arrival-space intersection at\n\
-     the shared finalize; each flush seeds one pooled Plumbing.warm across\n\
-     the points it spans.  Then sliced-vs-per-query differential parity";
+     per-destination) on fat-tree-k6, served by the one sharing rule: a\n\
+     contained scope rides the broad computation as a slice and is answered by\n\
+     arrival-space intersection at the shared finalize; each flush seeds one\n\
+     pooled Plumbing.warm across the points it spans.  computations = entries\n\
+     opened (slice fallbacks included); distinct = the (point, effective scope)\n\
+     questions drawn, at least one computation each under identical-only\n\
+     coalescing.  Then sliced-vs-per-query differential parity";
   let strict = Sys.getenv_opt "RVAAS_E20_STRICT" <> None in
   let failures = ref 0 in
-  Printf.printf "%-10s %8s | %12s %9s %9s %9s %6s | %8s\n" "mode" "clients"
-    "queries/s" "p99 (ms)" "coalesce" "subsume" "warms" "answers";
-  let run mode frontend n =
-    let r = e20_drive ~frontend ~n in
-    Printf.printf "%-10s %8d | %12.0f %9.2f %8.1f%% %8.1f%% %6d | %8d%s\n%!" mode n
-      r.d_qps (1000.0 *. r.d_p99) (100.0 *. r.d_coalesce) (100.0 *. r.d_subsume)
-      r.d_pool_warms r.d_arrivals
-      (if r.d_arrivals = n then "" else " MISSING");
-    if r.d_arrivals <> n then incr failures;
-    r
-  in
-  let coalesce_only = Rvaas.Frontend.coalescing ~batch_window:0.005 () in
-  let subsume = Rvaas.Frontend.coalescing ~batch_window:0.005 ~subsume:true () in
   let n = 100_000 in
-  let base_comp = run "coalesce" coalesce_only n in
-  let sub_comp = run "subsume" subsume n in
-  if strict && sub_comp.d_qps < 1.5 *. base_comp.d_qps then begin
+  (* Record what the seeded sampler draws; the distinct questions are
+     counted after the drive, outside its wall clock. *)
+  let drawn = ref [] in
+  let sampler s =
+    let draw = e20_sampler s in
+    fun rng ->
+      let ((pt : Rvaas.Verifier.endpoint), scope, _) as q = draw rng in
+      drawn := (pt, scope) :: !drawn;
+      q
+  in
+  let r =
+    frontend_drive ~wave:20_000
+      ~frontend:(Rvaas.Frontend.coalescing ~batch_window:0.005 ())
+      ~sampler ~n ()
+  in
+  (* Distinct (point, effective scope) questions, scopes compared as
+     sets. *)
+  let seen = Hashtbl.create 1024 and distinct = ref 0 in
+  List.iter
+    (fun ((pt : Rvaas.Verifier.endpoint), scope) ->
+      let scope = Hspace.Hs.inter scope (Rvaas.Verifier.ip_traffic_hs ()) in
+      let key = (pt.sw, pt.port, Hspace.Hs.hash scope) in
+      let bucket = Option.value ~default:[] (Hashtbl.find_opt seen key) in
+      if not (List.exists (Hspace.Hs.equal scope) bucket) then begin
+        Hashtbl.replace seen key (scope :: bucket);
+        incr distinct
+      end)
+    !drawn;
+  Printf.printf "%8s | %12s %9s %9s %9s %6s %12s %9s | %8s\n" "clients" "queries/s"
+    "p99 (ms)" "coalesce" "subsume" "warms" "computations" "distinct" "answers";
+  Printf.printf "%8d | %12.0f %9.2f %8.1f%% %8.1f%% %6d %12d %9d | %8d%s\n%!" n r.d_qps
+    (1000.0 *. r.d_p99) (100.0 *. r.d_coalesce) (100.0 *. r.d_subsume) r.d_pool_warms
+    r.d_computations !distinct r.d_arrivals
+    (if r.d_arrivals = n then "" else " MISSING");
+  if r.d_arrivals <> n then incr failures;
+  (* A deterministic count: identical-only coalescing opens at least
+     one computation per distinct question, so sharing by containment
+     must open at most two thirds of that. *)
+  if strict && float_of_int r.d_computations *. 1.5 > float_of_int !distinct then begin
     incr failures;
-    Printf.printf
-      "E20 strict: %.0f q/s < 1.5x the %.0f q/s coalesce-only (compiled)\n"
-      sub_comp.d_qps base_comp.d_qps
+    Printf.printf "E20 strict: %d computations x 1.5 > %d distinct questions\n"
+      r.d_computations !distinct
   end;
-  if strict && sub_comp.d_subsume <= 0.0 then begin
+  if strict && r.d_subsume <= 0.0 then begin
     incr failures;
-    print_endline "E20 strict: subsume mode never subsumed a query"
+    print_endline "E20 strict: the sharing rule never subsumed a query"
   end;
-  if strict && base_comp.d_subsumed <> 0 then begin
-    incr failures;
-    print_endline
-      "E20 strict: coalesce-only config entered the subsumption graph"
-  end;
-  if strict && sub_comp.d_pool_warms = 0 then begin
+  if strict && r.d_pool_warms = 0 then begin
     incr failures;
     print_endline "E20 strict: no pooled warm was seeded under the compiled engine"
   end;
@@ -1977,7 +1990,7 @@ let e20 () =
     end
     else
       print_endline
-        "E20 strict: speedup, subsumption, pooling and parity checks passed"
+        "E20 strict: computation count, subsumption, pooling and parity checks passed"
 
 (* ---------------------------------------------------------------- *)
 (* E21: replicated segmented journal — sealed segments, lag-tolerant *)
@@ -2316,7 +2329,7 @@ let e22 () =
         scale-free backbone), every attachment point a /16 range gateway\n\
         carried as one Hs cube, %.0f s simulated churn campaign (rolling\n\
         upgrades, link flaps, transient attacks, query storms) on the\n\
-        compiled engine behind a coalescing front-end; sweep-vs-compiled\n\
+        compiled engine behind the sharing front-end; sweep-vs-compiled\n\
         verdict parity sampled throughout%s"
        duration
        (if smoke then " [smoke]" else ""));

@@ -66,8 +66,10 @@ let coalesce_arg =
     value & flag
     & info [ "coalesce" ]
         ~doc:
-          "Fold identical in-flight queries under one computation (each \
-           client still receives its own signed answer).")
+          "Share computations: a query rides a queued or in-flight \
+           computation with the same kind, injection point and an equal \
+           scope, or, for reachability, a containing one (each client \
+           still receives its own signed answer).")
 
 let batch_window_arg =
   Arg.(
@@ -75,17 +77,8 @@ let batch_window_arg =
     & info [ "batch-window" ] ~docv:"SECONDS"
         ~doc:
           "Settle tick: queries arriving within the window are flushed \
-           together and batched per injection point (0 = flush \
-           immediately, no batching).")
-
-let subsume_arg =
-  Arg.(
-    value & flag
-    & info [ "subsume" ]
-        ~doc:
-          "Attach scope-contained reachability queries to a broader queued \
-           or in-flight computation as slices (implies $(b,--coalesce)); \
-           each still receives its own signed answer.")
+           together, sharing the queue before any evaluates (0 = flush \
+           immediately).")
 
 let limits_conv : Rvaas.Frontend.limits Arg.conv =
   let parse s =
@@ -111,13 +104,12 @@ let limits_arg =
            to BURST; over-budget clients receive a signed throttle answer.")
 
 let frontend_term =
-  let make coalesce subsume batch_window limits =
-    if coalesce || subsume || batch_window > 0.0 || limits <> None then
-      { Rvaas.Frontend.limits; coalesce = coalesce || subsume; batch_window; subsume }
+  let make coalesce batch_window limits =
+    if coalesce || batch_window > 0.0 || limits <> None then
+      { Rvaas.Frontend.limits; coalesce; batch_window }
     else Rvaas.Frontend.default_config
   in
-  Cmdliner.Term.(
-    const make $ coalesce_arg $ subsume_arg $ batch_window_arg $ limits_arg)
+  Cmdliner.Term.(const make $ coalesce_arg $ batch_window_arg $ limits_arg)
 
 let make_topo kind size =
   let p = Workload.Topogen.default_params in

@@ -98,10 +98,10 @@ val equal : t -> t -> bool
 val overlaps : t -> t -> bool
 
 (** [hash t] is an order-independent structural hash of the normalised
-    cube set, suitable as a compact key component (the front-end's
-    coalescing key uses it).
+    cube set, suitable as a pre-filter in front of {!equal}.
     Structurally equal sets hash equally; semantically equal sets with
-    different normal forms may not. *)
+    different normal forms may not, and different sets can collide —
+    never use it alone as a set's identity. *)
 val hash : t -> int
 
 (** [sample rng t] draws some concrete header from [t], or [None] when

@@ -1,55 +1,81 @@
 type limits = { rate : float; burst : float }
 
-type config = {
-  limits : limits option;
-  coalesce : bool;
-  batch_window : float;
-  subsume : bool;
-}
+type config = { limits : limits option; coalesce : bool; batch_window : float }
 
-let default_config =
-  { limits = None; coalesce = false; batch_window = 0.0; subsume = false }
+let default_config = { limits = None; coalesce = false; batch_window = 0.0 }
 
-let coalescing ?limits ?(batch_window = 0.0) ?(subsume = false) () =
-  { limits; coalesce = true; batch_window; subsume }
+(* [subsume] is accepted and ignored: perfbench/src/storm.ml still passes it. *)
+let coalescing ?limits ?(batch_window = 0.0) ?subsume:_ () =
+  { limits; coalesce = true; batch_window }
 
-(* The coalescing key is the injection point plus a structural scope
-   hash, extended with the query kind and, for the kinds whose
-   evaluation reads the requesting tenant, the client.
-   All-int record: structural Hashtbl hashing/equality is exact. *)
+(* The sharing key: everything except the scope that two questions must
+   agree on to share a computation — query kind, [Path_length]'s
+   destination, injection point and, for the kinds whose evaluation
+   reads the requesting tenant, the client — plus how the kind treats
+   its scope, decided here once.  The scope itself is compared as a
+   set by [ride], never hashed into the key.  Immediate fields only:
+   structural Hashtbl hashing/equality is exact. *)
 type key = {
   k_kind : int;
   k_dst : int;  (* Path_length destination, 0 otherwise *)
   k_client : int;  (* -1 for client-independent kinds *)
   k_sw : int;
   k_port : int;
-  k_hs : int;
+  k_scoped : bool;  (* false: evaluation ignores the scope *)
+  k_sliceable : bool;  (* a contained scope can be sliced out *)
 }
 
 let key_of ~client ~sw ~port (query : Query.t) =
-  let scope_hash () =
-    match query.scope with None -> 0 | Some hs -> Hspace.Hs.hash hs
-  in
-  let k_kind, k_dst, k_client, k_hs =
+  let k_kind, k_dst, k_client =
     match query.kind with
-    | Query.Reachable_endpoints -> (0, 0, -1, scope_hash ())
-    | Query.Sources_reaching_me -> (1, 0, client, scope_hash ())
-    (* Isolation and Fairness ignore their scope at evaluation; hashing
-       it would only split identical questions. *)
-    | Query.Isolation -> (2, 0, client, 0)
-    | Query.Geo -> (3, 0, -1, scope_hash ())
-    | Query.Path_length { dst_ip } -> (4, dst_ip, -1, scope_hash ())
-    | Query.Fairness -> (5, 0, client, 0)
-    | Query.Transfer_summary -> (6, 0, -1, scope_hash ())
+    | Query.Reachable_endpoints -> (0, 0, -1)
+    | Query.Sources_reaching_me -> (1, 0, client)
+    | Query.Isolation -> (2, 0, client)
+    | Query.Geo -> (3, 0, -1)
+    | Query.Path_length { dst_ip } -> (4, dst_ip, -1)
+    | Query.Fairness -> (5, 0, client)
+    | Query.Transfer_summary -> (6, 0, -1)
   in
-  { k_kind; k_dst; k_client; k_sw = sw; k_port = port; k_hs }
+  (* Isolation and Fairness ignore their scope at evaluation: any two
+     such questions under one key are the same question.  Only
+     [Reachable_endpoints] answers can be cut from arrival spaces. *)
+  let k_scoped, k_sliceable =
+    match query.kind with
+    | Query.Isolation | Query.Fairness -> (false, false)
+    | Query.Reachable_endpoints -> (true, true)
+    | _ -> (true, false)
+  in
+  { k_kind; k_dst; k_client; k_sw = sw; k_port = port; k_scoped; k_sliceable }
+
+let ride key ~scope ~over candidates =
+  let relation s =
+    if not key.k_scoped then `Equal
+    else if not (Hspace.Hs.subset scope s) then `Apart
+    else if Hspace.Hs.subset s scope then `Equal
+    else if key.k_sliceable then `Slice
+    else `Apart
+  in
+  (* Equality before containment: an equal computation anywhere in the
+     list beats the first (newest) container. *)
+  let rec go slice = function
+    | [] -> Option.map (fun c -> `Slice c) slice
+    | c :: rest -> (
+      match over c with
+      | None -> go slice rest
+      | Some (s, sliceable) -> (
+        match relation s with
+        | `Equal -> Some (`Equal c)
+        | `Slice when sliceable && Option.is_none slice -> go (Some c) rest
+        | `Slice | `Apart -> go slice rest))
+  in
+  go None candidates
 
 (* A narrower query riding a broader computation: answered at the
    subsumer's finalize by intersecting its arrival spaces with
    [sl_scope].  Waiters are newest-first, like [e_waiters]. *)
 type 'w slice = {
-  sl_key : key;
   sl_scope : Hspace.Hs.t;  (* effective scope of the sliced query *)
+  sl_hash : int;  (* [Hs.hash sl_scope], pre-filter for [Hs.equal] *)
   sl_query : Query.t;
   mutable sl_waiters : 'w list;
 }
@@ -60,9 +86,7 @@ type 'w entry = {
   e_sw : int;
   e_port : int;
   e_query : Query.t;
-  e_scope : Hspace.Hs.t option;
-      (* effective scope, supplied by the service for batchable kinds;
-         the containment checks of subsumption run on it *)
+  e_scope : Hspace.Hs.t;  (* effective scope, supplied by the service *)
   mutable e_waiters : 'w list;
   mutable e_slices : 'w slice list;
 }
@@ -73,9 +97,6 @@ type stats = {
   mutable coalesced : int;
   mutable subsumed : int;
   mutable entries : int;
-  mutable batches : int;
-  mutable batched : int;
-  mutable batch_fallbacks : int;
   mutable slice_fallbacks : int;
   mutable flushes : int;
 }
@@ -86,10 +107,9 @@ type 'w t = {
   cfg : config;
   buckets : (int, bucket) Hashtbl.t;
   queue : 'w entry Queue.t;  (* arrival order, drained whole at flush *)
-  by_key : (key, 'w entry) Hashtbl.t;  (* queued entries, for coalescing *)
-  by_point : (int * int, 'w entry list ref) Hashtbl.t;
-      (* queued batchable entries per injection point (newest first),
-         the subsumption scan's index; cleared with the queue *)
+  index : (key, 'w entry list ref) Hashtbl.t;
+      (* queued entries per sharing key (newest first), only with
+         [cfg.coalesce]; cleared with the queue *)
   stats : stats;
 }
 
@@ -105,8 +125,7 @@ let create cfg =
     cfg;
     buckets = Hashtbl.create 16;
     queue = Queue.create ();
-    by_key = Hashtbl.create 16;
-    by_point = Hashtbl.create 16;
+    index = Hashtbl.create 16;
     stats =
       {
         admitted = 0;
@@ -114,9 +133,6 @@ let create cfg =
         coalesced = 0;
         subsumed = 0;
         entries = 0;
-        batches = 0;
-        batched = 0;
-        batch_fallbacks = 0;
         slice_fallbacks = 0;
         flushes = 0;
       };
@@ -165,169 +181,116 @@ let admit t ~client ~now =
 
 let note_coalesced t = t.stats.coalesced <- t.stats.coalesced + 1
 
-let note_subsumed t = t.stats.subsumed <- t.stats.subsumed + 1
-
-let note_fallback t n =
-  t.stats.batch_fallbacks <- t.stats.batch_fallbacks + n;
-  t.stats.batches <- t.stats.batches - 1;
-  t.stats.batched <- t.stats.batched - n
-
 let note_slice_fallback t n = t.stats.slice_fallbacks <- t.stats.slice_fallbacks + n
 
-let batchable (q : Query.t) =
-  (* Only [Reachable_endpoints] pools soundly and profitably: Geo
-     needs the per-query traversed set, Path_length the per-query
-     sample paths, Transfer_summary the per-query arrival spaces
-     (whose normal forms a union split would not reproduce byte for
-     byte), and the client-dependent kinds are per-tenant anyway. *)
-  match q.kind with Query.Reachable_endpoints -> true | _ -> false
-
-(* Attach a query to a queued container entry as a slice waiter:
-   queries identical to an existing slice share it, new scopes open a
-   fresh one.  Every attach counts in [subsumed]. *)
-let attach_slice t (entry : 'w entry) ~key ~scope query ~waiter =
-  (match List.find_opt (fun sl -> sl.sl_key = key) entry.e_slices with
-  | Some sl -> sl.sl_waiters <- waiter :: sl.sl_waiters
+(* The slice-attach rule, for queued and in-flight containers alike: a
+   query whose scope equals an existing slice's joins it as one more
+   waiter — equality before containment, counted in [coalesced]; a new
+   scope gets a fresh slice, counted in [subsumed], for the caller to
+   add.  A broad container can carry hundreds of slices, so the scan
+   compares hashes first. *)
+let attach_slice t ~slice slices ~scope query ~waiter =
+  let h = Hspace.Hs.hash scope in
+  let equal s =
+    let sl = slice s in
+    sl.sl_hash = h && Hspace.Hs.equal sl.sl_scope scope
+  in
+  match List.find_opt equal slices with
+  | Some s ->
+    let sl = slice s in
+    sl.sl_waiters <- waiter :: sl.sl_waiters;
+    note_coalesced t;
+    `Joined
   | None ->
-    entry.e_slices <-
-      { sl_key = key; sl_scope = scope; sl_query = query; sl_waiters = [ waiter ] }
-      :: entry.e_slices);
-  t.stats.subsumed <- t.stats.subsumed + 1
+    t.stats.subsumed <- t.stats.subsumed + 1;
+    `Fresh { sl_scope = scope; sl_hash = h; sl_query = query; sl_waiters = [ waiter ] }
 
-let submit t ~key ?scope ~client ~sw ~port query ~waiter =
-  match if t.cfg.coalesce then Hashtbl.find_opt t.by_key key else None with
-  | Some entry ->
+let submit t ~key ~scope ~client ~sw ~port query ~waiter =
+  let cell = if t.cfg.coalesce then Hashtbl.find_opt t.index key else None in
+  let over e = Some (e.e_scope, true) in
+  match Option.bind cell (fun cell -> ride key ~scope ~over !cell) with
+  | Some (`Equal entry) ->
     entry.e_waiters <- waiter :: entry.e_waiters;
-    t.stats.coalesced <- t.stats.coalesced + 1;
+    note_coalesced t;
     `Coalesced
-  | None -> (
-    let container =
-      match (t.cfg.subsume, scope) with
-      | true, Some s when batchable query -> (
-        match Hashtbl.find_opt t.by_point (sw, port) with
-        | None -> None
-        | Some cell ->
-          List.find_opt
-            (fun e ->
-              match e.e_scope with
-              | Some s' -> Hspace.Hs.subset s s'
-              | None -> false)
-            !cell)
-      | _ -> None
+  | Some (`Slice entry) -> (
+    match attach_slice t ~slice:Fun.id entry.e_slices ~scope query ~waiter with
+    | `Joined -> `Coalesced
+    | `Fresh sl ->
+      entry.e_slices <- sl :: entry.e_slices;
+      `Subsumed)
+  | None ->
+    let first = Queue.is_empty t.queue in
+    let entry =
+      {
+        e_key = key;
+        e_client = client;
+        e_sw = sw;
+        e_port = port;
+        e_query = query;
+        e_scope = scope;
+        e_waiters = [ waiter ];
+        e_slices = [];
+      }
     in
-    match container with
-    | Some entry ->
-      attach_slice t entry ~key ~scope:(Option.get scope) query ~waiter;
-      `Subsumed
-    | None ->
-      let first = Queue.is_empty t.queue in
-      let entry =
-        {
-          e_key = key;
-          e_client = client;
-          e_sw = sw;
-          e_port = port;
-          e_query = query;
-          e_scope = (if batchable query then scope else None);
-          e_waiters = [ waiter ];
-          e_slices = [];
-        }
-      in
-      Queue.add entry t.queue;
-      if t.cfg.coalesce then Hashtbl.replace t.by_key key entry;
-      if t.cfg.subsume && entry.e_scope <> None then begin
-        match Hashtbl.find_opt t.by_point (sw, port) with
-        | Some cell -> cell := entry :: !cell
-        | None -> Hashtbl.replace t.by_point (sw, port) (ref [ entry ])
-      end;
-      `Queued (if first then `First else `Later))
+    Queue.add entry t.queue;
+    (if t.cfg.coalesce then
+       match cell with
+       | Some cell -> cell := entry :: !cell
+       | None -> Hashtbl.replace t.index key (ref [ entry ]));
+    `Queued (if first then `First else `Later)
 
 let queued t = Queue.length t.queue
 
-(* Flush-time subsumption: within one pooled group, entries whose
-   scope is contained in another member's fold into that member as
-   slices — the narrow-before-broad arrival order [submit]'s forward
-   scan cannot catch.  "[j] absorbs [i]" is a strict partial order
-   (strict containment, arrival order breaking equal-scope ties), so
-   the kept entries are its maximal elements and, containment being
-   transitive, each folded entry finds a direct container among
-   them. *)
-let fold_group t group =
-  match group with
-  | ([] | [ _ ]) -> group
-  | _ when not t.cfg.subsume -> group
-  | es ->
-    let arr = Array.of_list es in
-    let n = Array.length arr in
-    let absorbs j i =
-      i <> j
-      &&
-      match (arr.(i).e_scope, arr.(j).e_scope) with
-      | Some si, Some sj ->
-        Hspace.Hs.subset si sj && ((not (Hspace.Hs.subset sj si)) || j < i)
-      | _ -> false
-    in
-    let folded =
-      Array.init n (fun i ->
-          let rec any j = j < n && (absorbs j i || any (j + 1)) in
-          any 0)
-    in
-    let kept = ref [] in
-    for i = n - 1 downto 0 do
-      if not folded.(i) then kept := i :: !kept
-    done;
-    Array.iteri
-      (fun i e ->
-        if folded.(i) then begin
-          let j = List.find (fun j -> absorbs j i) !kept in
-          let c = arr.(j) in
-          c.e_slices <-
-            c.e_slices
-            @ {
-                sl_key = e.e_key;
-                sl_scope = Option.get e.e_scope;
-                sl_query = e.e_query;
-                sl_waiters = e.e_waiters;
-              }
-              :: e.e_slices;
-          t.stats.subsumed <- t.stats.subsumed + List.length e.e_waiters
-        end)
-      arr;
-    List.map (fun i -> arr.(i)) !kept
+(* Flush-time fold under one sliceable key: a queued entry whose scope
+   another entry strictly contains folds into that entry as a slice,
+   waiters and all — the narrow-before-broad arrival order [submit]
+   cannot catch.  Its leader now rides a broader computation (counted
+   in [subsumed]); its other waiters stay counted in [coalesced].
+   Strict containment is a strict partial order, so the kept entries
+   are its maximal elements and, containment being transitive, each
+   folded entry finds a direct container among them. *)
+let fold_point t cell =
+  let es = List.rev cell in
+  let absorbs c e =
+    c != e
+    && Hspace.Hs.subset e.e_scope c.e_scope
+    && not (Hspace.Hs.subset c.e_scope e.e_scope)
+  in
+  let folded, kept =
+    List.partition (fun e -> List.exists (fun c -> absorbs c e) es) es
+  in
+  List.iter
+    (fun e ->
+      let c = List.find (fun c -> absorbs c e) kept in
+      c.e_slices <-
+        c.e_slices
+        @ {
+            sl_scope = e.e_scope;
+            sl_hash = Hspace.Hs.hash e.e_scope;
+            sl_query = e.e_query;
+            sl_waiters = e.e_waiters;
+          }
+          :: e.e_slices;
+      t.stats.subsumed <- t.stats.subsumed + 1;
+      e.e_waiters <- [];
+      e.e_slices <- [])
+    folded
 
 let flush t =
   if Queue.is_empty t.queue then []
   else begin
     t.stats.flushes <- t.stats.flushes + 1;
-    (* Drain in arrival order, pooling batchable entries that share an
-       injection point into the group opened by their first arrival. *)
-    let groups : 'w entry list ref list ref = ref [] in
-    let pools : (int * int, 'w entry list ref) Hashtbl.t = Hashtbl.create 8 in
-    Queue.iter
-      (fun e ->
-        if t.cfg.coalesce then Hashtbl.remove t.by_key e.e_key;
-        if batchable e.e_query then begin
-          let point = (e.e_sw, e.e_port) in
-          match Hashtbl.find_opt pools point with
-          | Some cell -> cell := e :: !cell
-          | None ->
-            let cell = ref [ e ] in
-            Hashtbl.replace pools point cell;
-            groups := cell :: !groups
-        end
-        else groups := ref [ e ] :: !groups)
-      t.queue;
+    Hashtbl.iter
+      (fun key cell -> if key.k_sliceable then fold_point t !cell)
+      t.index;
+    Hashtbl.reset t.index;
+    (* Folded entries gave their waiters away; the rest go out in
+       arrival order. *)
+    let out =
+      Queue.fold (fun acc e -> if e.e_waiters = [] then acc else e :: acc) [] t.queue
+    in
     Queue.clear t.queue;
-    Hashtbl.reset t.by_point;
-    List.rev_map
-      (fun cell ->
-        let group = fold_group t (List.rev !cell) in
-        t.stats.entries <- t.stats.entries + List.length group;
-        (match group with
-        | _ :: _ :: _ ->
-          t.stats.batches <- t.stats.batches + 1;
-          t.stats.batched <- t.stats.batched + List.length group
-        | _ -> ());
-        group)
-      !groups
+    t.stats.entries <- t.stats.entries + List.length out;
+    List.rev out
   end

@@ -1,5 +1,4 @@
-(** Multi-tenant query front-end: admission, coalescing, subsumption,
-    batching.
+(** Multi-tenant query front-end: admission and one sharing rule.
 
     At the scale the roadmap targets — millions of clients sharing one
     verification service — the query stream stops looking like the
@@ -15,27 +14,17 @@
       of an evaluation, so one tenant's storm cannot starve the rest
       (the paper's §IV-B.1 per-client accounting turned into a
       defence).
-    + {b coalescing} — identical in-flight queries are folded under
-      one computation, keyed by injection point, a structural hash of
-      the scope, the query kind and — for client-dependent kinds — the
-      client.  N clients asking the same question cost one
-      {!Plumbing} lookup; each
-      still receives its own signed answer under its own nonce at
-      finalize.
-    + {b subsumption} — a [Reachable_endpoints] query whose scope is
-      contained in ({!Hspace.Hs.subset}) a queued computation at the
-      same injection point attaches to it as a {!slice} instead of
-      opening its own: the subsumer's arrival spaces intersected with
-      the slice scope are exactly the narrower answer (absent
-      rewrites — the service falls back per query on taint).  This
-      turns the waiters-on-key list into a waiters-on-computation
-      graph: one broad computation can answer many distinct narrower
-      questions.
-    + {b batching} — queries that arrive within one settle tick
-      ([batch_window]) and share an injection point are pooled: their
-      scopes are unioned via {!Hspace.Hs.Builder}, one reach runs over
-      the union, and the result is split per query by intersecting
-      arrival spaces with each query's scope.
+    + {b sharing} — one rule ({!ride}) decides, for the pre-flush
+      queue here and for {!Service}'s in-flight computations alike,
+      whether a query rides an open computation: same {!key}, and an
+      equal effective scope (a plain waiter) or, for
+      [Reachable_endpoints] only, a strictly contained one (a
+      {!slice}, answered by intersecting the computation's arrival
+      spaces with its scope — absent rewrites; the service falls back
+      per query on taint).  Scopes are compared as sets, never by
+      hash.  Each rider still receives its own signed answer under its
+      own nonce at finalize.  Queries arriving within one settle tick
+      ([batch_window]) share the queue before any of them evaluates.
 
     The module is deliberately free of protocol state: it queues
     generic waiter tokens (['w] is {!Service}'s requester record) and
@@ -50,15 +39,12 @@ type limits = { rate : float; burst : float }
 type config = {
   limits : limits option;  (** admission control; [None] admits all *)
   coalesce : bool;
-      (** fold identical in-flight queries under one computation *)
+      (** share computations by the sharing rule; [false] evaluates
+          every query on its own *)
   batch_window : float;
       (** settle tick in seconds: queries arriving within the window
-          are flushed together and batched per injection point.  [0.]
-          flushes synchronously (no added latency, no batching). *)
-  subsume : bool;
-      (** attach scope-contained [Reachable_endpoints] queries to a
-          broader queued or in-flight computation as slice waiters
-          instead of evaluating them *)
+          are flushed together.  [0.] flushes synchronously (no added
+          latency). *)
 }
 
 (** Everything off: admit all, evaluate per query, no settle tick —
@@ -66,31 +52,42 @@ type config = {
     service. *)
 val default_config : config
 
-(** [coalescing ()] is the recommended serving configuration:
-    coalescing on, optional admission [limits], a [batch_window]
-    (default [0.]), and optionally [subsume] (default [false] — off,
-    it reproduces the identical-only coalescing of PR 7 bit for
-    bit). *)
+(** [coalescing ()] is the recommended serving configuration: sharing
+    on, optional admission [limits], a [batch_window] (default [0.]).
+    [subsume] is accepted and ignored. *)
 val coalescing :
   ?limits:limits -> ?batch_window:float -> ?subsume:bool -> unit -> config
 
-(** Coalescing key: query kind (plus [Path_length]'s destination),
-    injection point, scope hash, and — for the kinds whose evaluation
-    depends on the requesting tenant ([Sources_reaching_me],
-    [Isolation], [Fairness]) — the client.  Kinds that ignore their
-    scope ([Isolation], [Fairness]) hash it as zero so differently
-    scoped but identical questions still coalesce. *)
+(** Sharing key: query kind (plus [Path_length]'s destination),
+    injection point, and — for the kinds whose evaluation depends on
+    the requesting tenant ([Sources_reaching_me], [Isolation],
+    [Fairness]) — the client.  The scope is not part of it. *)
 type key
 
 val key_of : client:int -> sw:int -> port:int -> Query.t -> key
+
+(** [ride key ~scope ~over candidates] is the sharing rule: the
+    computation among [candidates] (all under [key]) a query with
+    effective [scope] rides, if any.  [over c] is [c]'s effective
+    scope and whether it can take slices, or [None] when [c] takes no
+    riders.  [`Equal c] when the scopes are equal — always for
+    [Isolation] and [Fairness], which ignore their scope — tried
+    before [`Slice c], the first [c] that strictly contains [scope]
+    (only for [Reachable_endpoints]). *)
+val ride :
+  key ->
+  scope:Hspace.Hs.t ->
+  over:('c -> (Hspace.Hs.t * bool) option) ->
+  'c list ->
+  [ `Equal of 'c | `Slice of 'c ] option
 
 (** A narrower query attached to a broader computation: at the
     subsumer's finalize, its arrival spaces are intersected with
     [sl_scope] and every slice waiter receives its own signed answer
     under its own nonce.  [sl_waiters] is newest-first. *)
 type 'w slice = {
-  sl_key : key;
   sl_scope : Hspace.Hs.t;  (** effective scope of the sliced query *)
+  sl_hash : int;  (** [Hs.hash sl_scope], a pre-filter for [Hs.equal] *)
   sl_query : Query.t;
   mutable sl_waiters : 'w list;
 }
@@ -105,9 +102,7 @@ type 'w entry = {
   e_sw : int;
   e_port : int;
   e_query : Query.t;
-  e_scope : Hspace.Hs.t option;
-      (** the effective scope the service evaluates (batchable kinds
-          only) — what the subsumption containment checks run on *)
+  e_scope : Hspace.Hs.t;  (** the effective scope the service evaluates *)
   mutable e_waiters : 'w list;
   mutable e_slices : 'w slice list;
 }
@@ -116,18 +111,12 @@ type stats = {
   mutable admitted : int;  (** queries past admission control *)
   mutable throttled : int;  (** queries rejected by the token bucket *)
   mutable coalesced : int;
-      (** admitted queries folded into an identical computation
-          (pre-flush attach or in-flight join) instead of costing one *)
+      (** admitted queries that rode an equal question — a computation
+          or a slice, queued or in flight — instead of costing one *)
   mutable subsumed : int;
-      (** admitted queries attached as slice waiters to a broader
-          computation (queued scan, flush-time fold, or in-flight
-          join) *)
+      (** admitted queries that opened a slice of a broader
+          computation (queued scan, flush-time fold, or in flight) *)
   mutable entries : int;  (** computations handed to the service *)
-  mutable batches : int;  (** flush groups that pooled >= 2 entries *)
-  mutable batched : int;  (** entries inside such groups *)
-  mutable batch_fallbacks : int;
-      (** pooled groups re-run per entry because a rewrite on the
-          swept region made the union split unsound *)
   mutable slice_fallbacks : int;
       (** slices re-run as their own computations because the
           subsumer's region was rewrite-tainted *)
@@ -144,13 +133,13 @@ val config : 'w t -> config
 
 val stats : 'w t -> stats
 
-(** [coalesce_rate t] is the fraction of admitted queries that were
-    absorbed by an identical computation — [0.] when nothing was
+(** [coalesce_rate t] is the fraction of admitted queries that rode an
+    equal question (computation or slice) — [0.] when nothing was
     admitted. *)
 val coalesce_rate : 'w t -> float
 
-(** [subsume_rate t] is the fraction of admitted queries answered as
-    slices of a broader computation — [0.] when nothing was
+(** [subsume_rate t] is the fraction of admitted queries that opened
+    a slice of a broader computation — [0.] when nothing was
     admitted. *)
 val subsume_rate : 'w t -> float
 
@@ -159,39 +148,45 @@ val subsume_rate : 'w t -> float
     the caller owes the client a signed throttle answer. *)
 val admit : 'w t -> client:int -> now:float -> bool
 
-(** [note_coalesced t] records an in-flight join: the service attached
-    a waiter to an already-evaluating computation (coalescing after
-    the entry left the queue — this module only sees the queue). *)
+(** [note_coalesced t] records an in-flight plain waiter: the service
+    attached a query to an already-evaluating computation with an
+    equal scope (this module only sees the queue). *)
 val note_coalesced : 'w t -> unit
-
-(** [note_subsumed t] records an in-flight subsumption join: the
-    service attached a slice waiter to an already-evaluating broader
-    computation. *)
-val note_subsumed : 'w t -> unit
-
-(** [note_fallback t n] records a pooled group of [n] entries that the
-    service re-ran per entry (rewrite taint). *)
-val note_fallback : 'w t -> int -> unit
 
 (** [note_slice_fallback t n] records [n] slices the service re-ran as
     their own computations because the subsumer was rewrite-tainted. *)
 val note_slice_fallback : 'w t -> int -> unit
 
-(** [submit t ~key ?scope ~client ~sw ~port query ~waiter] enqueues a
-    query.  [scope] is the effective scope the service will evaluate
-    (batchable kinds only) — it feeds the subsumption containment
-    scan.  [`Coalesced] means the query was attached to an
-    already-queued identical entry (only with [config.coalesce]);
-    [`Subsumed] means it was attached as a slice waiter to a queued
-    broader computation at the same injection point (only with
-    [config.subsume]); [`Queued `First] means it opened a new entry in
-    a previously empty queue — the caller must now arrange a flush
-    (immediately, or one [batch_window] later); [`Queued `Later] means
-    the queue was already non-empty and a flush is already owed. *)
+(** [attach_slice t ~slice slices ~scope query ~waiter] is the
+    slice-attach rule for a query that {!ride}s a container as a
+    slice, queued or in flight: when one of the container's [slices]
+    (each viewed through [slice]) has a scope equal to [scope], the
+    waiter joins it — [`Joined], counted in [coalesced]; otherwise
+    [`Fresh sl] is a new slice for the caller to add, counted in
+    [subsumed]. *)
+val attach_slice :
+  'w t ->
+  slice:('s -> 'w slice) ->
+  's list ->
+  scope:Hspace.Hs.t ->
+  Query.t ->
+  waiter:'w ->
+  [ `Joined | `Fresh of 'w slice ]
+
+(** [submit t ~key ~scope ~client ~sw ~port query ~waiter] enqueues a
+    query whose effective scope is [scope].  With [config.coalesce],
+    {!ride} over the queued entries under [key] decides first:
+    [`Coalesced] means the query became a waiter of an equal entry or
+    slice, [`Subsumed] a fresh slice of a containing entry
+    ({!attach_slice}).  Otherwise
+    [`Queued `First] means it opened a new entry in a previously empty
+    queue — the caller must now arrange a flush (immediately, or one
+    [batch_window] later); [`Queued `Later] means the queue was
+    already non-empty and a flush is already owed. *)
 val submit :
   'w t ->
   key:key ->
-  ?scope:Hspace.Hs.t ->
+  scope:Hspace.Hs.t ->
   client:int ->
   sw:int ->
   port:int ->
@@ -202,13 +197,11 @@ val submit :
 (** [queued t] is the number of entries awaiting a flush. *)
 val queued : 'w t -> int
 
-(** [flush t] drains the queue into evaluation groups, in arrival
-    order.  Entries of batchable kinds ([Reachable_endpoints]) that
-    share an injection point are grouped together (one pooled reach);
-    everything else comes back as singleton groups.  With
-    [config.subsume], entries of a group whose scope is contained in
-    another member's fold into that member as slices first (catching
-    the narrow-before-broad arrival order the submit-time scan
-    cannot), so a group's entry count — and the [entries]/[batched]
-    stats — reflect the computations actually handed out. *)
-val flush : 'w t -> 'w entry list list
+(** [flush t] drains the queue into the computations to open, in
+    arrival order.  With [config.coalesce], a [Reachable_endpoints]
+    entry whose scope another entry at its injection point strictly
+    contains folds into that entry as a slice first (catching the
+    narrow-before-broad arrival order {!submit} cannot), so the list —
+    and the [entries] stat — reflect the computations actually handed
+    out. *)
+val flush : 'w t -> 'w entry list

@@ -28,50 +28,50 @@ type probe = {
   mutable seen_client : int option;
 }
 
-(* One client waiting on a computation.  Coalescing makes the
+(* One client waiting on a computation.  Sharing makes the
    pending-to-requester relation one-to-many: each requester gets its
    own signed answer (under its own nonce, at its own access point)
-   when the shared computation finalizes. *)
+   when the shared computation finalizes, and journals its own
+   query. *)
 type requester = {
   r_nonce : string;
   r_client : int;
   r_sw : int;
   r_port : int;
   r_ip : int;
+  r_query : Query.t;  (* the question this client asked *)
 }
 
-(* A narrower query riding a broader computation: its endpoints are
-   the subset of the subsumer's probes whose arrival space overlaps
-   the slice scope, its answer sliced out at the shared finalize. *)
+(* A narrower question riding a broader computation — the front-end
+   slice (scope, waiters) it was queued as or attached in flight as —
+   plus the subset of the subsumer's probes whose arrival space
+   overlaps the slice scope; its answer is sliced out at the shared
+   finalize. *)
 type slice_pending = {
-  sp_query : Query.t;  (* the sliced query, journalled for re-issue *)
+  sp_slice : requester Frontend.slice;
   sp_base : Query.answer;
   sp_targets : Verifier.endpoint list;  (* subset of the subsumer's *)
-  mutable sp_waiters : requester list;  (* newest first *)
 }
 
-(* What makes an in-flight computation joinable by narrower queries:
-   its injection point, the effective scope it evaluated, and the
-   arrival space per endpoint (exact — rewrite-tainted results are
-   never indexed). *)
+(* What makes an in-flight computation joinable: its sharing key, the
+   effective scope it evaluated, and — for an untainted
+   [Reachable_endpoints] computation only — the exact arrival space
+   per endpoint that narrower queries are sliced from. *)
 type cover = {
-  c_point : int * int;
+  c_key : Frontend.key;
   c_scope : Hspace.Hs.t;
-  c_arrivals : (Verifier.endpoint * Hspace.Hs.t) list;
+  c_arrivals : (Verifier.endpoint * Hspace.Hs.t) list option;
 }
 
 type pending = {
-  key : Frontend.key option;
-      (* coalescing key while this computation is in flight; [Some]
-         iff it was opened through a coalescing front-end (recovery
-         re-issues bypass the front-end and never coalesce) *)
   base : Query.answer;  (** logical part, endpoints filled at finalize *)
-  query : Query.t;  (** the parsed query, journalled for re-issue *)
   probes : probe list;
   mutable requesters : requester list;  (* newest first *)
   mutable slices : slice_pending list;  (* newest first *)
   cover : cover option;
-      (* [Some] iff indexed in [t.subsumable] for in-flight joins *)
+      (* [Some] iff opened through a sharing front-end, and so indexed
+         in [t.in_flight] until it finalizes or the snapshot changes
+         (recovery re-issues never share) *)
   mutable finalized : bool;
       (* an early finalize (full quorum) races the scheduled one *)
   mutable deadline_at : float;
@@ -98,16 +98,13 @@ type t = {
       (* keyed by requester nonce, until answered; many nonces can map
          to one coalesced pending *)
   frontend : requester Frontend.t;
-      (* admission + coalescing + batching policy in front of
-         evaluation; default config = admit all, no coalescing, no
-         settle tick (the seed behaviour) *)
-  coalesced : (Frontend.key, pending) Hashtbl.t;
-      (* in-flight computations by coalescing key: a query identical
-         to one already evaluating joins it as an extra requester *)
-  subsumable : (int * int, pending list ref) Hashtbl.t;
-      (* in-flight [Reachable_endpoints] computations by injection
-         point whose arrival spaces are exact (untainted): a narrower
-         query at the same point joins one as a slice waiter *)
+      (* admission + sharing policy in front of evaluation; default
+         config = admit all, no sharing, no settle tick (the seed
+         behaviour) *)
+  in_flight : (Frontend.key, pending list ref) Hashtbl.t;
+      (* in-flight computations by sharing key (newest first) that
+         evaluated the current snapshot: a query rides one by
+         [Frontend.ride]; emptied whenever the snapshot changes *)
   queued_nonces : (string, unit) Hashtbl.t;
       (* nonces waiting in the front-end queue (batch_window > 0),
          not yet in [open_queries] — consulted by the duplicate-
@@ -321,15 +318,15 @@ let journal_record t record =
   | Some j -> Journal.append j ~at:(now t) ~snapshot:(Monitor.snapshot t.monitor) record
 
 (* Remove a finalized (or torn-down) computation from the in-flight
-   subsumption index. *)
+   index. *)
 let drop_cover t (p : pending) =
   match p.cover with
   | None -> ()
   | Some c -> (
-    match Hashtbl.find_opt t.subsumable c.c_point with
+    match Hashtbl.find_opt t.in_flight c.c_key with
     | Some cell ->
       cell := List.filter (fun q -> q != p) !cell;
-      if !cell = [] then Hashtbl.remove t.subsumable c.c_point
+      if !cell = [] then Hashtbl.remove t.in_flight c.c_key
     | None -> ())
 
 let finalize t (p : pending) =
@@ -344,14 +341,6 @@ let finalize t (p : pending) =
       p.finalized <- true;
       List.iter (fun probe -> Hashtbl.remove t.pending probe.challenge) p.probes;
       drop_cover t p;
-      (match p.key with
-      | Some k -> (
-        (* Only drop the coalescing slot if it is still ours — a
-           later computation may have taken the key over. *)
-        match Hashtbl.find_opt t.coalesced k with
-        | Some q when q == p -> Hashtbl.remove t.coalesced k
-        | _ -> ())
-      | None -> ());
       let answer_out template (r : requester) =
         (* Guarded removal: never evict a nonce that a newer pending
            owns (the duplicate-replay corruption this fan-out
@@ -373,7 +362,7 @@ let finalize t (p : pending) =
             List.filter (fun pr -> List.mem pr.target sp.sp_targets) p.probes
           in
           let template = answer_of ~base:sp.sp_base probes in
-          List.iter (answer_out template) (List.rev sp.sp_waiters))
+          List.iter (answer_out template) (List.rev sp.sp_slice.Frontend.sl_waiters))
         (List.rev p.slices)
     end
 
@@ -429,8 +418,8 @@ let dispatch_probes t (p : pending) =
 (* A nonce about to be (re-)opened that still maps to an older
    pending: detach that requester from the old computation.  When it
    was the last one, tear the old computation down — challenges out of
-   [t.pending], timers neutered, coalescing slot released — so nothing
-   of it can fire again (the replace path that used to orphan
+   [t.pending], timers neutered, in-flight index entry dropped — so
+   nothing of it can fire again (the replace path that used to orphan
    challenges and double-send answers). *)
 let supersede t nonce =
   match Hashtbl.find_opt t.open_queries nonce with
@@ -440,29 +429,37 @@ let supersede t nonce =
       List.filter (fun r -> not (String.equal r.r_nonce nonce)) old.requesters;
     List.iter
       (fun sp ->
-        sp.sp_waiters <-
+        let sl = sp.sp_slice in
+        sl.Frontend.sl_waiters <-
           List.filter
             (fun (r : requester) -> not (String.equal r.r_nonce nonce))
-            sp.sp_waiters)
+            sl.Frontend.sl_waiters)
       old.slices;
-    old.slices <- List.filter (fun sp -> sp.sp_waiters <> []) old.slices;
+    old.slices <-
+      List.filter (fun sp -> sp.sp_slice.Frontend.sl_waiters <> []) old.slices;
     if old.requesters = [] && old.slices = [] then begin
       old.finalized <- true;
       List.iter (fun probe -> Hashtbl.remove t.pending probe.challenge) old.probes;
-      drop_cover t old;
-      match old.key with
-      | Some k -> (
-        match Hashtbl.find_opt t.coalesced k with
-        | Some q when q == old -> Hashtbl.remove t.coalesced k
-        | _ -> ())
-      | None -> ()
+      drop_cover t old
     end
+
+let journal_opened t (r : requester) =
+  journal_record t
+    (Journal.Query_opened
+       {
+         q_nonce = r.r_nonce;
+         q_client = r.r_client;
+         q_sw = r.r_sw;
+         q_port = r.r_port;
+         q_ip = Some r.r_ip;
+         q_query = r.r_query;
+       })
 
 (* Open one computation for [requesters] (already evaluated to [base]
    + probe [targets]) — plus any [slices] riding it — and drive its
    auth-probe round.  A [cover] indexes the computation in
-   [t.subsumable] so later narrower queries can join it in flight. *)
-let open_with t ~key ~query ~base ~targets ?(slices = []) ?cover ~requesters () =
+   [t.in_flight] so later queries can ride it. *)
+let open_with t ~base ~targets ?(slices = []) ?cover ~requesters () =
   let probes =
     List.map
       (fun target ->
@@ -477,51 +474,25 @@ let open_with t ~key ~query ~base ~targets ?(slices = []) ?cover ~requesters () 
       targets
   in
   let p =
-    {
-      key;
-      base;
-      query;
-      probes;
-      requesters;
-      slices;
-      cover;
-      finalized = false;
-      deadline_at = 0.0;
-    }
+    { base; probes; requesters; slices; cover; finalized = false; deadline_at = 0.0 }
   in
-  let register query (r : requester) =
+  (* Every rider journals its own question: a recovering standby
+     re-issues what the client actually asked, not the broader
+     computation it happened to ride. *)
+  let register (r : requester) =
     supersede t r.r_nonce;
     Hashtbl.replace t.open_queries r.r_nonce p;
-    journal_record t
-      (Journal.Query_opened
-         {
-           q_nonce = r.r_nonce;
-           q_client = r.r_client;
-           q_sw = r.r_sw;
-           q_port = r.r_port;
-           q_ip = Some r.r_ip;
-           q_query = query;
-         })
+    journal_opened t r
   in
-  List.iter (register query) (List.rev requesters);
-  (* Slice waiters journal their own (narrower) query: a recovering
-     standby re-issues the question the client actually asked, not the
-     broader computation it happened to ride. *)
+  List.iter register (List.rev requesters);
   List.iter
-    (fun sp -> List.iter (register sp.sp_query) (List.rev sp.sp_waiters))
+    (fun sp -> List.iter register (List.rev sp.sp_slice.Frontend.sl_waiters))
     (List.rev slices);
-  (match key with Some k -> Hashtbl.replace t.coalesced k p | None -> ());
   (match cover with
-  | Some c ->
-    let cell =
-      match Hashtbl.find_opt t.subsumable c.c_point with
-      | Some cell -> cell
-      | None ->
-        let cell = ref [] in
-        Hashtbl.replace t.subsumable c.c_point cell;
-        cell
-    in
-    cell := p :: !cell
+  | Some c -> (
+    match Hashtbl.find_opt t.in_flight c.c_key with
+    | Some cell -> cell := p :: !cell
+    | None -> Hashtbl.replace t.in_flight c.c_key (ref [ p ]))
   | None -> ());
   if probes = [] then finalize t p
   else begin
@@ -531,19 +502,28 @@ let open_with t ~key ~query ~base ~targets ?(slices = []) ?cover ~requesters () 
 
 (* Evaluate a query and drive its auth-probe round.  Used by [reissue]
    (a recovering controller re-driving a query recorded in the
-   journal) — recovery bypasses admission and coalescing. *)
+   journal) — recovery bypasses admission and sharing. *)
 let open_query t ~client ~nonce ~sw ~port ~ip query =
   let base, targets = evaluate t ~client ~sw ~port query in
-  open_with t ~key:None ~query ~base ~targets
-    ~requesters:[ { r_nonce = nonce; r_client = client; r_sw = sw; r_port = port; r_ip = ip } ]
+  open_with t ~base ~targets
+    ~requesters:
+      [
+        {
+          r_nonce = nonce;
+          r_client = client;
+          r_sw = sw;
+          r_port = port;
+          r_ip = ip;
+          r_query = query;
+        };
+      ]
     ()
 
-(* A rewrite anywhere on the swept region makes the union split
-   unsound: arrival spaces of the union lookup may mix headers that
-   entered under different members' scopes.  Conservative and cheap —
-   scan the traversed switches (a superset of any member's traversal)
-   for rewriting actions. *)
-let union_tainted t (r : Verifier.reach_result) =
+(* A rewrite anywhere on the swept region makes slicing unsound:
+   [arrival(S) = arrival(S') ∩ S] for [S ⊆ S'] holds only while
+   headers arrive as they entered.  Conservative and cheap — scan the
+   traversed switches for rewriting actions. *)
+let rewrite_tainted t (r : Verifier.reach_result) =
   let snapshot = Monitor.snapshot t.monitor in
   List.exists
     (fun sw ->
@@ -553,242 +533,135 @@ let union_tainted t (r : Verifier.reach_result) =
         (Snapshot.flows snapshot ~sw))
     r.Verifier.traversed
 
-(* Open a [Reachable_endpoints] computation whose arrival spaces are
-   in hand, together with the slices riding it.  Untainted results are
-   indexed ([cover]) for in-flight subsumption.  A rewrite on the
-   region makes the slice intersection unsound, so — mirroring
-   [open_batch]'s fallback — the subsumer still answers its own
-   waiters exactly while every slice re-runs as its own per-query
-   computation. *)
-let open_reach t ~key ~(query : Query.t) ~sw ~port ~scope ~arrivals ~tainted
-    ~(requesters : requester list) ~(slices : requester Frontend.slice list) =
-  let base = empty_answer t ~nonce:(fresh_hex t) ~kind:query.Query.kind in
-  let targets = List.map fst arrivals in
-  if tainted && slices <> [] then begin
-    Frontend.note_slice_fallback t.frontend (List.length slices);
-    open_with t ~key ~query ~base ~targets ~requesters ();
-    List.iter
-      (fun (sl : requester Frontend.slice) ->
-        match sl.Frontend.sl_waiters with
-        | [] -> ()
-        | lead :: _ ->
-          let b, tg =
-            evaluate t ~client:lead.r_client ~sw ~port sl.Frontend.sl_query
-          in
-          open_with t ~key:None ~query:sl.Frontend.sl_query ~base:b ~targets:tg
-            ~requesters:sl.Frontend.sl_waiters ())
-      slices
-  end
-  else begin
-    let slices =
-      List.map
-        (fun (sl : requester Frontend.slice) ->
-          {
-            sp_query = sl.Frontend.sl_query;
-            sp_base =
-              empty_answer t ~nonce:(fresh_hex t)
-                ~kind:sl.Frontend.sl_query.Query.kind;
-            sp_targets =
-              List.filter_map
-                (fun (ep, arrival) ->
-                  if Hspace.Hs.overlaps arrival sl.Frontend.sl_scope then Some ep
-                  else None)
-                arrivals;
-            sp_waiters = sl.Frontend.sl_waiters;
-          })
-        slices
-    in
-    let cover =
-      if tainted then None
-      else Some { c_point = (sw, port); c_scope = scope; c_arrivals = arrivals }
-    in
-    open_with t ~key ~query ~base ~targets ~slices ?cover ~requesters ()
-  end
+(* A slice's share of a computation: the endpoints whose arrival space
+   overlaps the slice scope, answered under the slice's own base. *)
+let slice_of t arrivals (sl : requester Frontend.slice) =
+  {
+    sp_slice = sl;
+    sp_base = empty_answer t ~nonce:(fresh_hex t) ~kind:sl.Frontend.sl_query.Query.kind;
+    sp_targets =
+      List.filter_map
+        (fun (ep, arrival) ->
+          if Hspace.Hs.overlaps arrival sl.Frontend.sl_scope then Some ep else None)
+        arrivals;
+  }
 
 (* A flushed front-end entry: one evaluation with the leader's
    coordinates, answers fanned out to every attached waiter.  With
-   subsumption on, [Reachable_endpoints] evaluates through [reach]
-   directly so the arrival spaces are in hand for the entry's slices
-   and the in-flight index — same [base], same [targets], byte for
-   byte, as the [evaluate] path it bypasses. *)
+   sharing on, [Reachable_endpoints] evaluates through [reach] directly
+   so the arrival spaces are in hand for the entry's slices and for
+   in-flight slicing — same [base], same [targets], byte for byte, as
+   the [evaluate] path it bypasses.  A rewrite on the region makes
+   slicing unsound: the entry still answers its own waiters exactly,
+   while every slice re-runs as its own per-query computation. *)
 let open_entry t (e : requester Frontend.entry) =
-  let cfg = Frontend.config t.frontend in
-  let key = if cfg.coalesce then Some e.e_key else None in
+  let share = (Frontend.config t.frontend).coalesce in
+  let cover ?arrivals scope =
+    if share then Some { c_key = e.e_key; c_scope = scope; c_arrivals = arrivals }
+    else None
+  in
   match e.e_query.Query.kind with
-  | Query.Reachable_endpoints when cfg.subsume ->
-    let scope = effective_scope e.e_query.Query.scope in
-    let r = reach t ~src_sw:e.e_sw ~src_port:e.e_port ~hs:scope in
-    open_reach t ~key ~query:e.e_query ~sw:e.e_sw ~port:e.e_port ~scope
-      ~arrivals:r.Verifier.endpoints ~tainted:(union_tainted t r)
-      ~requesters:e.e_waiters ~slices:e.e_slices
+  | Query.Reachable_endpoints when share ->
+    let r = reach t ~src_sw:e.e_sw ~src_port:e.e_port ~hs:e.e_scope in
+    let arrivals = r.Verifier.endpoints in
+    let base = empty_answer t ~nonce:(fresh_hex t) ~kind:e.e_query.Query.kind in
+    let targets = List.map fst arrivals in
+    if rewrite_tainted t r then begin
+      Frontend.note_slice_fallback t.frontend (List.length e.e_slices);
+      open_with t ~base ~targets ?cover:(cover e.e_scope) ~requesters:e.e_waiters ();
+      List.iter
+        (fun (sl : requester Frontend.slice) ->
+          match sl.Frontend.sl_waiters with
+          | [] -> ()
+          | lead :: _ ->
+            let base, targets =
+              evaluate t ~client:lead.r_client ~sw:e.e_sw ~port:e.e_port
+                sl.Frontend.sl_query
+            in
+            open_with t ~base ~targets ?cover:(cover sl.Frontend.sl_scope)
+              ~requesters:sl.Frontend.sl_waiters ())
+        e.e_slices
+    end
+    else
+      let slices = List.map (slice_of t arrivals) e.e_slices in
+      open_with t ~base ~targets ~slices ?cover:(cover ~arrivals e.e_scope)
+        ~requesters:e.e_waiters ()
   | _ ->
     let base, targets =
       evaluate t ~client:e.e_client ~sw:e.e_sw ~port:e.e_port e.e_query
     in
-    open_with t ~key ~query:e.e_query ~base ~targets ~requesters:e.e_waiters ()
-
-(* A batch of [Reachable_endpoints] entries sharing one injection
-   point: union the scopes, run one reach over the union, split the
-   arrival spaces back per member.  Exact absent rewrites — forward
-   propagation is linear in the injected set, so
-   [arrival(S1) = arrival(S1 ∪ S2) ∩ S1] cube by cube; with rewrites
-   on the region, fall back to per-entry evaluation. *)
-let open_batch t (es : requester Frontend.entry list) =
-  match es with
-  | [] -> ()
-  | (first : requester Frontend.entry) :: _ ->
-    let cfg = Frontend.config t.frontend in
-    let scopes =
-      List.map
-        (fun (e : requester Frontend.entry) -> effective_scope e.e_query.Query.scope)
-        es
-    in
-    let b = Hspace.Hs.Builder.create Hspace.Field.total_width in
-    List.iter
-      (fun s -> List.iter (Hspace.Hs.Builder.add b) (Hspace.Hs.cubes s))
-      scopes;
-    let union = Hspace.Hs.Builder.build b in
-    let r = reach t ~src_sw:first.e_sw ~src_port:first.e_port ~hs:union in
-    if union_tainted t r then begin
-      Frontend.note_fallback t.frontend (List.length es);
-      List.iter (open_entry t) es
-    end
-    else
-      List.iter2
-        (fun (e : requester Frontend.entry) scope ->
-          let key = if cfg.coalesce then Some e.e_key else None in
-          if cfg.subsume then
-            (* Per-member arrival spaces by intersection — same
-               endpoint set as the [overlaps] filter, but exact
-               arrivals to feed this member's slices and the
-               in-flight subsumption index. *)
-            let arrivals =
-              List.filter_map
-                (fun ((ep : Verifier.endpoint), arrival) ->
-                  let i = Hspace.Hs.inter arrival scope in
-                  if Hspace.Hs.is_empty i then None else Some (ep, i))
-                r.Verifier.endpoints
-            in
-            open_reach t ~key ~query:e.e_query ~sw:e.e_sw ~port:e.e_port ~scope
-              ~arrivals ~tainted:false ~requesters:e.e_waiters
-              ~slices:e.e_slices
-          else
-            let targets =
-              List.filter_map
-                (fun ((ep : Verifier.endpoint), arrival) ->
-                  if Hspace.Hs.overlaps arrival scope then Some ep else None)
-                r.Verifier.endpoints
-            in
-            let base =
-              empty_answer t ~nonce:(fresh_hex t) ~kind:e.e_query.Query.kind
-            in
-            open_with t ~key ~query:e.e_query ~base ~targets
-              ~requesters:e.e_waiters ())
-        es scopes
+    open_with t ~base ~targets ?cover:(cover e.e_scope) ~requesters:e.e_waiters ()
 
 let flush_frontend t =
   if t.live then begin
     Hashtbl.reset t.queued_nonces;
-    let groups = Frontend.flush t.frontend in
+    let entries = Frontend.flush t.frontend in
     (* Cross-source pooling: one pooled warm over every injection
        point this flush evaluates, so cold compiled sources derive in
        parallel across the worker pool instead of sequentially as
-       each group opens. *)
+       each entry opens. *)
     let points =
       List.sort_uniq compare
-        (List.concat_map
-           (List.filter_map (fun (e : requester Frontend.entry) ->
-                match e.e_query.Query.kind with
-                | Query.Reachable_endpoints -> Some (e.e_sw, e.e_port)
-                | _ -> None))
-           groups)
+        (List.filter_map
+           (fun (e : requester Frontend.entry) ->
+             match e.e_query.Query.kind with
+             | Query.Reachable_endpoints -> Some (e.e_sw, e.e_port)
+             | _ -> None)
+           entries)
     in
     if List.length points > 1 then Plumbing.warm ~pool:t.pool t.plumbing ~points;
-    List.iter
-      (function
-        | [] -> ()
-        | [ e ] -> open_entry t e
-        | es -> open_batch t es)
-      groups
+    List.iter (open_entry t) entries
   end
 
-(* Join an in-flight computation: the new requester rides the probes
-   already in the air and is answered at the shared finalize. *)
-let try_join t key (r : requester) =
-  match Hashtbl.find_opt t.coalesced key with
-  | Some p when not p.finalized ->
-    p.requesters <- r :: p.requesters;
-    Hashtbl.replace t.open_queries r.r_nonce p;
-    journal_record t
-      (Journal.Query_opened
-         {
-           q_nonce = r.r_nonce;
-           q_client = r.r_client;
-           q_sw = r.r_sw;
-           q_port = r.r_port;
-           q_ip = Some r.r_ip;
-           q_query = p.query;
-         });
-    Frontend.note_coalesced t.frontend;
-    true
-  | _ -> false
-
-(* Ride an in-flight broader computation at the same injection point:
-   the narrower query becomes a slice answered at the shared finalize,
-   costing no evaluation and no probes of its own. *)
-let try_subsume t ~sw ~port ~scope query (r : requester) =
-  match Hashtbl.find_opt t.subsumable (sw, port) with
+(* Ride an in-flight computation by the sharing rule: an equal one
+   takes the requester as one more waiter, a broader untainted one as
+   a slice by [Frontend.attach_slice] (joining an equal slice, or a
+   fresh one cut from its arrival spaces) — either way it is answered
+   at the shared finalize, with no evaluation and no probes of its
+   own. *)
+let try_ride t key ~scope (r : requester) =
+  let over p =
+    match p.cover with
+    | Some c when not p.finalized -> Some (c.c_scope, Option.is_some c.c_arrivals)
+    | _ -> None
+  in
+  match
+    Option.bind (Hashtbl.find_opt t.in_flight key) (fun cell ->
+        Frontend.ride key ~scope ~over !cell)
+  with
   | None -> false
-  | Some cell -> (
-    match
-      List.find_opt
-        (fun p ->
-          (not p.finalized)
-          &&
-          match p.cover with
-          | Some c -> Hspace.Hs.subset scope c.c_scope
-          | None -> false)
-        !cell
-    with
-    | None -> false
-    | Some p ->
-      let c = Option.get p.cover in
-      let targets =
-        List.filter_map
-          (fun (ep, arrival) ->
-            if Hspace.Hs.overlaps arrival scope then Some ep else None)
-          c.c_arrivals
-      in
-      p.slices <-
-        {
-          sp_query = query;
-          sp_base = empty_answer t ~nonce:(fresh_hex t) ~kind:query.Query.kind;
-          sp_targets = targets;
-          sp_waiters = [ r ];
-        }
-        :: p.slices;
+  | Some ride ->
+    (match ride with
+    | `Equal p ->
+      p.requesters <- r :: p.requesters;
       Hashtbl.replace t.open_queries r.r_nonce p;
-      journal_record t
-        (Journal.Query_opened
-           {
-             q_nonce = r.r_nonce;
-             q_client = r.r_client;
-             q_sw = r.r_sw;
-             q_port = r.r_port;
-             q_ip = Some r.r_ip;
-             q_query = query;
-           });
-      Frontend.note_subsumed t.frontend;
-      true)
+      Frontend.note_coalesced t.frontend
+    | `Slice p ->
+      (match
+         Frontend.attach_slice t.frontend
+           ~slice:(fun sp -> sp.sp_slice)
+           p.slices ~scope r.r_query ~waiter:r
+       with
+      | `Joined -> ()
+      | `Fresh sl ->
+        let arrivals = Option.get (Option.bind p.cover (fun c -> c.c_arrivals)) in
+        p.slices <- slice_of t arrivals sl :: p.slices);
+      Hashtbl.replace t.open_queries r.r_nonce p);
+    journal_opened t r;
+    true
 
-let send_throttled t ~nonce ~sw ~port ~ip ~kind =
-  let answer = { (empty_answer t ~nonce ~kind) with Query.throttled = true } in
-  send_answer t answer { r_nonce = nonce; r_client = -1; r_sw = sw; r_port = port; r_ip = ip }
+let send_throttled t ~nonce ~sw ~port ~ip (query : Query.t) =
+  let answer =
+    { (empty_answer t ~nonce ~kind:query.Query.kind) with Query.throttled = true }
+  in
+  send_answer t answer
+    { r_nonce = nonce; r_client = -1; r_sw = sw; r_port = port; r_ip = ip; r_query = query }
 
-(* The post-decode request path: duplicate suppression, admission,
-   coalescing, then the front-end queue.  Shared by the in-band
-   Packet-In handler and by [inject_query] (benchmarks driving the
-   serving layer without per-packet request crypto). *)
+(* The post-decode request path: duplicate suppression, admission, the
+   sharing rule against in-flight computations, then the front-end
+   queue.  Shared by the in-band Packet-In handler and by
+   [inject_query] (benchmarks driving the serving layer without
+   per-packet request crypto). *)
 let accept_request t ~client ~nonce ~sw ~port ~ip (query : Query.t) =
   if Hashtbl.mem t.open_queries nonce || Hashtbl.mem t.queued_nonces nonce then
     (* A duplicated or replayed delivery of an in-flight request —
@@ -799,42 +672,39 @@ let accept_request t ~client ~nonce ~sw ~port ~ip (query : Query.t) =
     t.stats.queries_duplicate <- t.stats.queries_duplicate + 1
   else if not (Frontend.admit t.frontend ~client ~now:(now t)) then begin
     t.stats.queries_throttled <- t.stats.queries_throttled + 1;
-    send_throttled t ~nonce ~sw ~port ~ip ~kind:query.Query.kind
+    send_throttled t ~nonce ~sw ~port ~ip query
   end
   else begin
-    let r = { r_nonce = nonce; r_client = client; r_sw = sw; r_port = port; r_ip = ip } in
+    let r =
+      {
+        r_nonce = nonce;
+        r_client = client;
+        r_sw = sw;
+        r_port = port;
+        r_ip = ip;
+        r_query = query;
+      }
+    in
     let cfg = Frontend.config t.frontend in
     let key = Frontend.key_of ~client ~sw ~port query in
-    if cfg.coalesce && try_join t key r then ()
-    else begin
-      (* Subsumption works on the effective scope the evaluation would
-         run — computed here only for the batchable kind, only when
-         the policy is on. *)
-      let scope =
-        match query.Query.kind with
-        | Query.Reachable_endpoints when cfg.subsume ->
-          Some (effective_scope query.Query.scope)
-        | _ -> None
-      in
-      match scope with
-      | Some s when try_subsume t ~sw ~port ~scope:s query r -> ()
-      | _ -> (
-        match
-          Frontend.submit t.frontend ~key ?scope ~client ~sw ~port query ~waiter:r
-        with
-        | `Coalesced | `Subsumed | `Queued `Later ->
-          Hashtbl.replace t.queued_nonces nonce ()
-        | `Queued `First ->
-          if cfg.batch_window > 0.0 then begin
-            Hashtbl.replace t.queued_nonces nonce ();
-            Netsim.Sim.schedule (Netsim.Net.sim t.net) ~delay:cfg.batch_window
-              (fun () -> flush_frontend t)
-          end
-          else
-            (* No settle tick: flush synchronously, exactly the
-               pre-frontend per-request behaviour. *)
-            flush_frontend t)
-    end
+    let scope = effective_scope query.Query.scope in
+    if cfg.coalesce && try_ride t key ~scope r then ()
+    else
+      match
+        Frontend.submit t.frontend ~key ~scope ~client ~sw ~port query ~waiter:r
+      with
+      | `Coalesced | `Subsumed | `Queued `Later ->
+        Hashtbl.replace t.queued_nonces nonce ()
+      | `Queued `First ->
+        if cfg.batch_window > 0.0 then begin
+          Hashtbl.replace t.queued_nonces nonce ();
+          Netsim.Sim.schedule (Netsim.Net.sim t.net) ~delay:cfg.batch_window (fun () ->
+              flush_frontend t)
+        end
+        else
+          (* No settle tick: flush synchronously, exactly the
+             pre-frontend per-request behaviour. *)
+          flush_frontend t
   end
 
 let inject_query t ~client ~nonce ~sw ~port ~ip query =
@@ -961,8 +831,7 @@ let create ?pool ?(retry = no_retry) ?(frontend = Frontend.default_config) net m
       pending = Hashtbl.create 16;
       open_queries = Hashtbl.create 16;
       frontend = Frontend.create frontend;
-      coalesced = Hashtbl.create 16;
-      subsumable = Hashtbl.create 16;
+      in_flight = Hashtbl.create 16;
       queued_nonces = Hashtbl.create 16;
       measurement = Cryptosim.Attest.measure ~code_identity;
       pool = (match pool with Some p -> p | None -> Support.Pool.global ());
@@ -981,7 +850,13 @@ let create ?pool ?(retry = no_retry) ?(frontend = Frontend.default_config) net m
       (* The compiled graph absorbs the delta: re-derive [sw]'s node
          slice, leave every other switch and every non-traversing
          precomputed source untouched. *)
-      if changed then Plumbing.update t.plumbing ~sw;
+      if changed then begin
+        Plumbing.update t.plumbing ~sw;
+        (* In-flight computations evaluated the old snapshot: they
+           still answer their own waiters but take no more riders.
+           Queued entries evaluate at flush and are unaffected. *)
+        Hashtbl.reset t.in_flight
+      end;
       (* Intercept repair runs on every observation, changed or not:
          it is poll-driven and must converge even when the repair
          Flow-Mod itself was lost (see [repair_intercepts]). *)

@@ -78,17 +78,17 @@ type t
     [degraded = true].
 
     [frontend] (default {!Frontend.default_config}: admit everything,
-    no coalescing, no settle tick — the historical behaviour) puts the
+    no sharing, no settle tick — the historical behaviour) puts the
     multi-tenant front-end in front of evaluation: per-client
-    token-bucket admission, coalescing of identical in-flight queries
-    under one computation (per-requester signed answers fanned out at
-    finalize), per-injection-point batching of queries arriving within
-    one [batch_window], and — with [frontend.subsume] — semantic
-    subsumption: a [Reachable_endpoints] query whose effective scope
-    is contained in a queued or in-flight computation at the same
-    injection point rides it as a slice, its answer cut out of the
-    subsumer's arrival spaces at the shared finalize (rewrite-tainted
-    regions fall back to per-query evaluation).  Each flush seeds one
+    token-bucket admission and, with [frontend.coalesce], the sharing
+    rule ({!Frontend.ride}) against queued and in-flight computations
+    alike — an equal question rides as a waiter, a contained
+    [Reachable_endpoints] one as a slice cut out of the computation's
+    arrival spaces, joining an equal slice when there is one
+    ({!Frontend.attach_slice}; rewrite-tainted regions fall back to
+    per-query evaluation); per-requester signed answers fan out at the shared
+    finalize.  An in-flight computation takes riders only until the
+    monitored snapshot changes.  Each flush seeds one
     pooled {!Plumbing.warm} over every injection point it spans, so
     cold sources compile across the worker pool instead of
     sequentially.  Recovery re-issues ({!reissue}) bypass it.
@@ -152,25 +152,25 @@ val evaluate :
 
 (** {1 Multi-tenant front-end} *)
 
-(** [frontend_stats t] exposes the admission/coalescing/subsumption/
-    batching counters of the front-end configured at {!create} — the
-    subject of experiments E19 and E20. *)
+(** [frontend_stats t] exposes the admission and sharing counters of
+    the front-end configured at {!create} — the subject of experiments
+    E19 and E20. *)
 val frontend_stats : t -> Frontend.stats
 
 (** [frontend_config t] is the front-end configuration in effect. *)
 val frontend_config : t -> Frontend.config
 
-(** [coalesce_rate t] is the fraction of admitted queries absorbed by
-    an existing computation (see {!Frontend.coalesce_rate}). *)
+(** [coalesce_rate t] is the fraction of admitted queries that rode an
+    equal question (see {!Frontend.coalesce_rate}). *)
 val coalesce_rate : t -> float
 
-(** [subsume_rate t] is the fraction of admitted queries answered as
-    slices of a broader computation (see {!Frontend.subsume_rate}). *)
+(** [subsume_rate t] is the fraction of admitted queries that opened
+    a slice of a broader computation (see {!Frontend.subsume_rate}). *)
 val subsume_rate : t -> float
 
 (** [inject_query t ~client ~nonce ~sw ~port ~ip query] feeds a query
     straight into the post-decode serving path (duplicate suppression,
-    admission, coalescing, batching, evaluation, probe round), exactly
+    admission, sharing, evaluation, probe round), exactly
     as if a valid signed request had arrived in band at
     [(sw, port)] from [ip].  The answer is still signed and sent as a
     Packet-Out.  For tests and benchmarks that need to drive millions

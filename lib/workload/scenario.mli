@@ -50,8 +50,8 @@ type spec = {
       (** kept so perfbench's [engine = `Compiled] still compiles: the
           service always serves from the compiled plumbing graph *)
   frontend : Rvaas.Frontend.config;
-      (** the service's multi-tenant front-end (admission, coalescing,
-          subsumption, batching); {!Rvaas.Frontend.default_config} —
+      (** the service's multi-tenant front-end (admission and the
+          sharing rule); {!Rvaas.Frontend.default_config} —
           everything off — by default *)
   range_hosts : int;
       (** 0 (default): every topology host is one individually

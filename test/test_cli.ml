@@ -2,7 +2,8 @@
 
    [query] and [attack] run one client query against a fresh
    deployment — benign, then after a join attack — and must print the
-   policy verdict the serving engine has always produced for them.
+   policy verdict the serving engine has always produced for them;
+   the benign query also runs behind the sharing front-end.
 
    [persist run --dir D] journals a monitored deployment into a
    segmented store and exits without closing it; [persist recover
@@ -93,14 +94,18 @@ let test_help_lists_dir () =
 
 let small_world = [ "--topo"; "linear"; "--size"; "4"; "--seed"; "42" ]
 
-let verdict cmd ~exit_code ~line () =
-  let code, out = run_cli (cmd :: small_world) in
+let verdict ?(extra = []) cmd ~exit_code ~line () =
+  let code, out = run_cli ((cmd :: small_world) @ extra) in
   check Alcotest.int "exit code" exit_code code;
   check Alcotest.bool (Printf.sprintf "prints %S" line) true (List.mem line out)
 
 let test_help_has_no_engine () =
   check Alcotest.bool "--kind documented" true (help_mentions "query" "--kind");
   check Alcotest.bool "no --engine option" false (help_mentions "query" "--engine")
+
+let test_help_has_no_subsume () =
+  check Alcotest.bool "--coalesce documented" true (help_mentions "query" "--coalesce");
+  check Alcotest.bool "no --subsume option" false (help_mentions "query" "--subsume")
 
 let () =
   if Array.length Sys.argv > 1 then cli := Sys.argv.(1);
@@ -123,5 +128,10 @@ let () =
             (verdict "attack" ~exit_code:2
                ~line:"ALARM: unknown access point sw=1 port=0 can reach the client");
           Alcotest.test_case "help has no --engine" `Quick test_help_has_no_engine;
+          Alcotest.test_case "shared front-end query is clean" `Quick
+            (verdict "query" ~extra:[ "--coalesce"; "--batch-window"; "0.002" ] ~exit_code:0
+               ~line:"policy check: clean");
+          Alcotest.test_case "help has --coalesce, no --subsume" `Quick
+            test_help_has_no_subsume;
         ] );
     ]

@@ -1,10 +1,10 @@
-(* Multi-tenant front-end: admission, coalescing, batching.
+(* Multi-tenant front-end: admission and the one sharing rule.
 
    Unit level drives [Rvaas.Frontend] directly (it is protocol-free by
    design: waiters are plain ints here).  System level drives the
    served path — [Service.inject_query] for fan-in shape, real client
-   agents for the signed throttle verdict and the batched-vs-per-query
-   differential. *)
+   agents for the signed throttle verdict and the shared-vs-per-query
+   differentials. *)
 
 let check = Alcotest.check
 
@@ -25,7 +25,7 @@ let test_config_validation () =
     | _ -> false
   in
   let mk limits batch_window : int F.t =
-    F.create { F.limits; coalesce = true; batch_window; subsume = false }
+    F.create { F.limits; coalesce = true; batch_window }
   in
   check Alcotest.bool "zero rate rejected" true
     (raises (fun () -> mk (Some { F.rate = 0.0; burst = 2.0 }) 0.0));
@@ -42,12 +42,7 @@ let test_config_validation () =
 let test_token_bucket () =
   let fe : int F.t =
     F.create
-      {
-        F.limits = Some { F.rate = 1.0; burst = 2.0 };
-        coalesce = false;
-        batch_window = 0.0;
-        subsume = false;
-      }
+      { F.limits = Some { F.rate = 1.0; burst = 2.0 }; coalesce = false; batch_window = 0.0 }
   in
   (* Fresh bucket starts full: the burst passes, the next query not. *)
   check Alcotest.bool "burst 1 admitted" true (F.admit fe ~client:0 ~now:0.0);
@@ -71,7 +66,10 @@ let test_token_bucket () =
     check Alcotest.bool "no limits: admitted" true (F.admit open_fe ~client:0 ~now:0.0)
   done
 
-(* ---- unit: coalescing keys (observed through submit) ---- *)
+(* ---- unit: sharing keys (observed through submit) ---- *)
+
+(* The scope a query's submit carries: its own, or all IP traffic. *)
+let scope_of (q : Rvaas.Query.t) = Option.value q.scope ~default:(scope_a ())
 
 let test_coalescing_keys () =
   let fe : int F.t = F.create (F.coalescing ()) in
@@ -79,7 +77,8 @@ let test_coalescing_keys () =
     (* Mirror the service flow: admission first (no limits here — it
        only feeds the admitted counter the coalesce rate divides by). *)
     ignore (F.admit fe ~client ~now:0.0);
-    F.submit fe ~key:(F.key_of ~client ~sw ~port q) ~client ~sw ~port q ~waiter:w
+    F.submit fe ~key:(F.key_of ~client ~sw ~port q) ~scope:(scope_of q) ~client ~sw ~port q
+      ~waiter:w
   in
   let reach = Rvaas.Query.make ~scope:(scope_a ()) Rvaas.Query.Reachable_endpoints in
   check Alcotest.bool "first opens the queue" true
@@ -103,58 +102,44 @@ let test_coalescing_keys () =
   check Alcotest.bool "isolation scope irrelevant" true
     (submit ~client:0 ~sw:1 ~port:1 iso_scoped 5 = `Coalesced);
   check Alcotest.int "four distinct computations" 4 (F.queued fe);
-  let groups = F.flush fe in
-  let leader = List.hd (List.hd groups) in
+  let leader = List.hd (F.flush fe) in
   check Alcotest.int "both waiters on the folded entry" 2
     (List.length leader.F.e_waiters);
   check (Alcotest.float 1e-9) "coalesce rate" (2.0 /. 6.0) (F.coalesce_rate fe);
-  (* The flush cleared the coalescing table: the same key queues anew. *)
+  (* The flush cleared the sharing index: the same key queues anew. *)
   check Alcotest.bool "post-flush key is fresh" true
     (submit ~client:0 ~sw:1 ~port:1 reach 6 = `Queued `First)
 
-(* ---- unit: flush pools batchable entries per injection point ---- *)
+(* ---- unit: flush hands out a flat list in arrival order ---- *)
 
-let test_flush_batching () =
+let test_flush_flat () =
   let fe : int F.t = F.create (F.coalescing ()) in
   let submit ~client ~sw ~port q w =
-    ignore (F.submit fe ~key:(F.key_of ~client ~sw ~port q) ~client ~sw ~port q ~waiter:w)
+    ignore
+      (F.submit fe ~key:(F.key_of ~client ~sw ~port q) ~scope:(scope_of q) ~client ~sw
+         ~port q ~waiter:w)
   in
   let reach scope = Rvaas.Query.make ~scope Rvaas.Query.Reachable_endpoints in
-  (* Two differently-scoped reach queries at one point pool; a third at
-     another point and an isolation query stay alone. *)
+  (* Two disjoint reach scopes at one point, the same scope at another
+     point and an isolation query: nothing rides anything. *)
   submit ~client:0 ~sw:1 ~port:1 (reach (scope_b 1)) 0;
   submit ~client:0 ~sw:1 ~port:1 (reach (scope_b 2)) 1;
   submit ~client:0 ~sw:2 ~port:1 (reach (scope_b 1)) 2;
   submit ~client:0 ~sw:1 ~port:1 (Rvaas.Query.make Rvaas.Query.Isolation) 3;
-  let groups = F.flush fe in
-  check Alcotest.int "three evaluation groups" 3 (List.length groups);
   check
     Alcotest.(list int)
-    "one pooled pair" [ 1; 1; 2 ]
-    (List.sort compare (List.map List.length groups));
-  (* The pooled group preserves arrival order. *)
-  let pooled = List.find (fun g -> List.length g = 2) groups in
-  check
-    Alcotest.(list int)
-    "pool in arrival order" [ 0; 1 ]
-    (List.concat_map (fun e -> e.F.e_waiters) pooled);
+    "one entry per query, in arrival order" [ 0; 1; 2; 3 ]
+    (List.concat_map (fun e -> e.F.e_waiters) (F.flush fe));
   let s = F.stats fe in
   check Alcotest.int "entries" 4 s.F.entries;
-  check Alcotest.int "batches" 1 s.F.batches;
-  check Alcotest.int "batched" 2 s.F.batched;
   check Alcotest.int "flushes" 1 s.F.flushes;
   check Alcotest.int "queue drained" 0 (F.queued fe);
-  (* A fallback returns the pooled pair to the per-entry column. *)
-  F.note_fallback fe 2;
-  check Alcotest.int "fallback unwinds batches" 0 s.F.batches;
-  check Alcotest.int "fallback unwinds batched" 0 s.F.batched;
-  check Alcotest.int "fallback counted" 2 s.F.batch_fallbacks;
-  check Alcotest.(list (list int)) "empty flush" [] (F.flush fe |> List.map (List.map (fun e -> e.F.e_client)))
+  check Alcotest.(list int) "empty flush" [] (F.flush fe |> List.map (fun e -> e.F.e_client))
 
 (* ---- unit: subsumption queue — submit-time attach and flush fold ---- *)
 
 let test_subsumption_queue () =
-  let fe : int F.t = F.create (F.coalescing ~subsume:true ()) in
+  let fe : int F.t = F.create (F.coalescing ()) in
   let submit ~client ~sw ~port ~scope q w =
     ignore (F.admit fe ~client ~now:0.0);
     F.submit fe ~key:(F.key_of ~client ~sw ~port q) ~scope ~client ~sw ~port q
@@ -169,17 +154,18 @@ let test_subsumption_queue () =
     (submit ~client:0 ~sw:1 ~port:1 ~scope:broad_scope broad 0 = `Queued `First);
   check Alcotest.bool "contained scope subsumed" true
     (submit ~client:1 ~sw:1 ~port:1 ~scope:narrow_scope narrow 1 = `Subsumed);
-  (* An identical narrower question shares the existing slice. *)
+  (* An identical narrower question shares the existing slice: equal
+     scopes make it a plain waiter, counted as coalesced. *)
   check Alcotest.bool "identical narrow shares the slice" true
-    (submit ~client:2 ~sw:1 ~port:1 ~scope:narrow_scope narrow 2 = `Subsumed);
+    (submit ~client:2 ~sw:1 ~port:1 ~scope:narrow_scope narrow 2 = `Coalesced);
   (* A different injection point has no container. *)
   check Alcotest.bool "other point queued" true
     (submit ~client:0 ~sw:2 ~port:1 ~scope:narrow_scope narrow 3 = `Queued `Later);
-  let groups = F.flush fe in
-  check Alcotest.int "two evaluation groups" 2 (List.length groups);
-  let g = List.find (fun g -> (List.hd g).F.e_sw = 1) groups in
-  check Alcotest.int "one computation at the shared point" 1 (List.length g);
-  let e = List.hd g in
+  let entries = F.flush fe in
+  check Alcotest.int "two computations" 2 (List.length entries);
+  let at_shared = List.filter (fun e -> e.F.e_sw = 1) entries in
+  check Alcotest.int "one computation at the shared point" 1 (List.length at_shared);
+  let e = List.hd at_shared in
   check Alcotest.int "one slice riding it" 1 (List.length e.F.e_slices);
   check
     Alcotest.(list int)
@@ -192,13 +178,14 @@ let test_subsumption_queue () =
   check Alcotest.bool "broad queued after" true
     (submit ~client:0 ~sw:1 ~port:1 ~scope:broad_scope broad 5 = `Queued `Later);
   (match F.flush fe with
-  | [ [ leader ] ] ->
+  | [ leader ] ->
     check Alcotest.(list int) "broad leads the fold" [ 5 ] leader.F.e_waiters;
     check Alcotest.int "narrow folded as slice" 1 (List.length leader.F.e_slices)
-  | _ -> Alcotest.fail "expected one folded group");
+  | _ -> Alcotest.fail "expected one folded computation");
   let st = F.stats fe in
-  check Alcotest.int "subsumed counted" 3 st.F.subsumed;
-  check (Alcotest.float 1e-9) "subsume rate" 0.5 (F.subsume_rate fe)
+  check Alcotest.int "subsumed counted" 2 st.F.subsumed;
+  check Alcotest.int "coalesced counted" 1 st.F.coalesced;
+  check (Alcotest.float 1e-9) "subsume rate" (2.0 /. 6.0) (F.subsume_rate fe)
 
 (* ---- system helpers ---- *)
 
@@ -292,7 +279,7 @@ let test_service_throttle_signed () =
     check Alcotest.bool "victim not throttled" false
       o.Rvaas.Client_agent.answer.Rvaas.Query.throttled
 
-(* ---- system: batched answers match per-query evaluation ---- *)
+(* ---- system: shared answers match per-query evaluation ---- *)
 
 let endpoint_points (a : Rvaas.Query.answer) =
   List.sort compare
@@ -300,7 +287,7 @@ let endpoint_points (a : Rvaas.Query.answer) =
        (fun (ep : Rvaas.Query.endpoint_report) -> (ep.sw, ep.port))
        a.Rvaas.Query.endpoints)
 
-let test_batch_parity () =
+let test_shared_parity () =
   let topo = Workload.Topogen.linear p 5 in
   let scopes s =
     [ scope_b (ip_of s ~host:2); scope_b (ip_of s ~host:4); scope_a () ]
@@ -328,7 +315,8 @@ let test_batch_parity () =
       (scopes ref_s)
   in
   (* Subject: the same three queries sent back to back by one agent,
-     pooled by the settle tick into one reach over the unioned scope. *)
+     sharing the settle tick's queue: the two single-destination scopes
+     fold into the all-traffic computation as slices. *)
   let s =
     Workload.Scenario.build
       (spec_with topo (fun d -> { d with frontend = F.coalescing ~batch_window:0.002 () }))
@@ -347,8 +335,7 @@ let test_batch_parity () =
   settle s;
   check Alcotest.int "all three answered" 3 (List.length !outcomes);
   let fs = Rvaas.Service.frontend_stats s.service in
-  check Alcotest.bool "settle tick pooled them" true
-    (fs.F.batched = 3 || fs.F.batch_fallbacks = 3);
+  check Alcotest.int "one computation answered all three" 1 fs.F.entries;
   check Alcotest.bool "flush ran" true (fs.F.flushes >= 1);
   List.iteri
     (fun i nonce ->
@@ -361,7 +348,7 @@ let test_batch_parity () =
       check Alcotest.bool "signed" true o.Rvaas.Client_agent.signature_ok;
       check
         Alcotest.(list (pair int int))
-        (Printf.sprintf "query %d: batched = per-query verdict" i)
+        (Printf.sprintf "query %d: shared = per-query verdict" i)
         (List.nth expected i)
         (endpoint_points o.Rvaas.Client_agent.answer))
     nonces;
@@ -417,7 +404,7 @@ let prop_subsume_parity ?attack ~name () =
   let s =
     Workload.Scenario.build
       (spec_with topo (fun d ->
-           { d with frontend = F.coalescing ~batch_window:0.002 ~subsume:true () }))
+           { d with frontend = F.coalescing ~batch_window:0.002 () }))
   in
   (match attack with
   | Some a ->
@@ -451,7 +438,7 @@ let test_service_subsume_fanin () =
   let s =
     Workload.Scenario.build
       (spec_with topo (fun d ->
-           { d with frontend = F.coalescing ~batch_window:0.002 ~subsume:true () }))
+           { d with frontend = F.coalescing ~batch_window:0.002 () }))
   in
   settle s;
   let pt = first_point s in
@@ -473,6 +460,50 @@ let test_service_subsume_fanin () =
   check Alcotest.int "no pending probes" 0
     (Rvaas.Service.pending_probe_count s.service)
 
+(* ---- system: an in-flight equal slice takes a repeat as a waiter ---- *)
+
+let test_service_inflight_slice_join () =
+  let topo = Workload.Topogen.linear p 4 in
+  (* No settle tick: every query flushes on arrival, so the narrow
+     questions meet the broad one in flight, not in the queue. *)
+  let s =
+    Workload.Scenario.build (spec_with topo (fun d -> { d with frontend = F.coalescing () }))
+  in
+  settle s;
+  let pt = first_point s in
+  let agent = Workload.Scenario.agent s ~host:pt.Rvaas.Verifier.host in
+  let outcomes = ref [] in
+  Rvaas.Client_agent.set_answer_callback agent (fun o -> outcomes := o :: !outcomes);
+  let send scope =
+    Rvaas.Client_agent.send_query agent
+      (Rvaas.Query.make ~scope Rvaas.Query.Reachable_endpoints)
+  in
+  let narrow = scope_b (ip_of s ~host:2) in
+  let _ = send (scope_a ()) in
+  let nonces = [ send narrow; send narrow ] in
+  settle s;
+  List.iter
+    (fun n ->
+      match
+        List.find_opt
+          (fun (o : Rvaas.Client_agent.outcome) ->
+            String.equal o.answer.Rvaas.Query.nonce n)
+          !outcomes
+      with
+      | Some o ->
+        check Alcotest.bool "signed" true o.Rvaas.Client_agent.signature_ok;
+        check
+          Alcotest.(list (pair int int))
+          "sliced verdict equals direct evaluation" (oracle_points s pt narrow)
+          (endpoint_points o.Rvaas.Client_agent.answer)
+      | None -> Alcotest.fail "narrow question unanswered")
+    nonces;
+  let fs = Rvaas.Service.frontend_stats s.service in
+  check Alcotest.int "one computation" 1 fs.F.entries;
+  check Alcotest.int "first narrow opens the slice" 1 fs.F.subsumed;
+  check Alcotest.int "repeat joins it as a waiter" 1 fs.F.coalesced;
+  check Alcotest.int "no open queries" 0 (Rvaas.Service.open_query_count s.service)
+
 (* ---- system: rewrite taint falls back, counted, same verdicts ---- *)
 
 let test_service_subsume_taint_fallback () =
@@ -480,7 +511,7 @@ let test_service_subsume_taint_fallback () =
   let s =
     Workload.Scenario.build
       (spec_with topo (fun d ->
-           { d with frontend = F.coalescing ~batch_window:0.002 ~subsume:true () }))
+           { d with frontend = F.coalescing ~batch_window:0.002 () }))
   in
   Sdnctl.Attack.launch s.net s.addressing ~conn:(Sdnctl.Provider.conn s.provider)
     (Sdnctl.Attack.Exfiltrate { victim_host = 2; attacker_host = 3 });
@@ -511,7 +542,7 @@ let test_throttled_never_subsumed () =
              frontend =
                F.coalescing
                  ~limits:{ F.rate = 0.01; burst = 1.0 }
-                 ~batch_window:0.05 ~subsume:true ();
+                 ~batch_window:0.05 ();
            }))
   in
   settle s;
@@ -538,6 +569,141 @@ let test_throttled_never_subsumed () =
   check Alcotest.int "still nothing subsumed" 0 fs.F.subsumed;
   check Alcotest.int "no open queries" 0 (Rvaas.Service.open_query_count s.service)
 
+(* ---- system: a scope-hash collision never shares ---- *)
+
+(* Two scopes whose [Hs.hash] values collide: A is all IPv4 traffic,
+   B is IPv4 to 10.1.0.1 from a chosen source, with the cube word
+   covering bits 186–216 solved (by inverting [Tern.hash]'s bijective
+   word mixer) so the 63-bit hashes match.  From linear-4's first
+   access point A reaches an endpoint and B reaches none, so a
+   front-end that shares by hash hands one of them the other's
+   verdict. *)
+let collision_a =
+  "xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx0000000000010000xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx"
+
+let collision_b =
+  "xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx0000000000010000xxxxxxxxxxxx11010001000011000000000000000000100000000000000010000000010100xxx1xx1x11xxx1xx0x1xx010111x00xxxxxxxxxxxx"
+
+let test_hash_collision_not_shared () =
+  let a = Hspace.Hs.of_cube (Hspace.Tern.of_string collision_a)
+  and b = Hspace.Hs.of_cube (Hspace.Tern.of_string collision_b) in
+  check Alcotest.bool "precondition: hashes collide" true
+    (Hspace.Hs.hash a = Hspace.Hs.hash b);
+  check Alcotest.bool "precondition: different sets" false (Hspace.Hs.equal a b);
+  List.iter
+    (fun order ->
+      let s =
+        Workload.Scenario.build
+          (spec_with (Workload.Topogen.linear p 4) (fun d ->
+               { d with frontend = F.coalescing ~batch_window:0.002 () }))
+      in
+      settle s;
+      let pt = first_point s in
+      let direct scope =
+        let _, probes =
+          Rvaas.Service.evaluate s.service
+            ~client:(client_of s ~host:pt.Rvaas.Verifier.host)
+            ~sw:pt.Rvaas.Verifier.sw ~port:pt.Rvaas.Verifier.port
+            (Rvaas.Query.make ~scope Rvaas.Query.Reachable_endpoints)
+        in
+        List.sort compare
+          (List.map (fun (ep : Rvaas.Verifier.endpoint) -> (ep.sw, ep.port)) probes)
+      in
+      check Alcotest.bool "precondition: different verdicts" false (direct a = direct b);
+      let agent = Workload.Scenario.agent s ~host:pt.Rvaas.Verifier.host in
+      let sent =
+        List.map
+          (fun scope ->
+            ( scope,
+              Rvaas.Client_agent.send_query agent
+                (Rvaas.Query.make ~scope Rvaas.Query.Reachable_endpoints) ))
+          order
+      in
+      settle s;
+      List.iter
+        (fun (scope, nonce) ->
+          match
+            List.find_opt
+              (fun (o : Rvaas.Client_agent.outcome) ->
+                String.equal o.answer.Rvaas.Query.nonce nonce)
+              (Rvaas.Client_agent.outcomes agent)
+          with
+          | None -> Alcotest.fail "query unanswered"
+          | Some o ->
+            check
+              Alcotest.(list (pair int int))
+              "shared verdict = per-query verdict" (direct scope)
+              (endpoint_points o.Rvaas.Client_agent.answer))
+        sent)
+    [ [ a; b ]; [ b; a ] ]
+
+(* ---- system: a snapshot change stops in-flight riders ---- *)
+
+let test_snapshot_change_stops_riders () =
+  let s =
+    Workload.Scenario.build
+      {
+        (Workload.Scenario.default_spec
+           (Workload.Topogen.fat_tree Workload.Topogen.default_params ~k:4))
+        with
+        clients = 2;
+        isolation = true;
+        frontend = F.coalescing ();
+      }
+  in
+  settle s;
+  let sim = Netsim.Net.sim s.net in
+  let step () = Workload.Scenario.run s ~until:(Netsim.Sim.now sim +. 0.0001) in
+  let agent = Workload.Scenario.agent s ~host:0 in
+  (* A muted asker never answers its own auth challenge, so the first
+     computation stays in flight until the auth timeout. *)
+  Rvaas.Client_agent.set_mute agent true;
+  let pt =
+    List.find
+      (fun (ep : Rvaas.Verifier.endpoint) -> ep.host = 0)
+      (Rvaas.Verifier.access_points (Netsim.Net.topology s.net))
+  in
+  let iso = Rvaas.Query.make Rvaas.Query.Isolation in
+  let direct () =
+    let _, probes =
+      Rvaas.Service.evaluate s.service ~client:0 ~sw:pt.Rvaas.Verifier.sw
+        ~port:pt.Rvaas.Verifier.port iso
+    in
+    List.sort compare
+      (List.map (fun (ep : Rvaas.Verifier.endpoint) -> (ep.sw, ep.port)) probes)
+  in
+  let before = direct () in
+  ignore (Rvaas.Client_agent.send_query agent iso);
+  let give_up = Netsim.Sim.now sim +. 1.0 in
+  while Rvaas.Service.open_query_count s.service = 0 && Netsim.Sim.now sim < give_up do
+    step ()
+  done;
+  (* The attacker (client 1's host) joins client 0's isolation domain
+     while the first computation is still collecting auth replies. *)
+  Sdnctl.Attack.launch s.net s.addressing ~conn:(Sdnctl.Provider.conn s.provider)
+    (Sdnctl.Attack.Join { victim_client = 0; attacker_host = 1 });
+  while Rvaas.Service.open_query_count s.service > 0 && direct () = before do
+    step ()
+  done;
+  let after = direct () in
+  check Alcotest.bool "precondition: the monitor saw the attack" true (after <> before);
+  check Alcotest.int "precondition: first computation still in flight" 1
+    (Rvaas.Service.open_query_count s.service);
+  let nonce = Rvaas.Client_agent.send_query agent iso in
+  settle s;
+  match
+    List.find_opt
+      (fun (o : Rvaas.Client_agent.outcome) -> String.equal o.answer.Rvaas.Query.nonce nonce)
+      (Rvaas.Client_agent.outcomes agent)
+  with
+  | None -> Alcotest.fail "second query unanswered"
+  | Some o ->
+    check Alcotest.int "did not ride the stale computation" 0
+      (Rvaas.Service.frontend_stats s.service).F.coalesced;
+    check
+      Alcotest.(list (pair int int))
+      "post-attack verdict" after (endpoint_points o.Rvaas.Client_agent.answer)
+
 let () =
   Alcotest.run "frontend"
     [
@@ -546,7 +712,7 @@ let () =
           Alcotest.test_case "config validation" `Quick test_config_validation;
           Alcotest.test_case "token bucket" `Quick test_token_bucket;
           Alcotest.test_case "coalescing keys" `Quick test_coalescing_keys;
-          Alcotest.test_case "flush batching" `Quick test_flush_batching;
+          Alcotest.test_case "flush is flat, arrival order" `Quick test_flush_flat;
           Alcotest.test_case "subsumption queue" `Quick test_subsumption_queue;
         ] );
       ( "service",
@@ -554,12 +720,18 @@ let () =
           Alcotest.test_case "coalescing fan-in" `Quick test_service_coalescing;
           Alcotest.test_case "signed throttle verdict" `Quick
             test_service_throttle_signed;
-          Alcotest.test_case "batch parity (compiled)" `Quick test_batch_parity;
+          Alcotest.test_case "shared answers = per-query" `Quick test_shared_parity;
           Alcotest.test_case "subsumption fan-in" `Quick test_service_subsume_fanin;
+          Alcotest.test_case "in-flight equal slice joins it" `Quick
+            test_service_inflight_slice_join;
           Alcotest.test_case "taint fallback" `Quick
             test_service_subsume_taint_fallback;
           Alcotest.test_case "throttled never subsumed" `Quick
             test_throttled_never_subsumed;
+          Alcotest.test_case "hash collision never shares" `Quick
+            test_hash_collision_not_shared;
+          Alcotest.test_case "snapshot change stops riders" `Quick
+            test_snapshot_change_stops_riders;
         ] );
       ( "subsume-parity",
         [
