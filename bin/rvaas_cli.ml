@@ -61,16 +61,6 @@ let loss_arg =
     value & opt float 0.0
     & info [ "loss" ] ~docv:"P" ~doc:"Monitor-event loss probability on the RVaaS channel.")
 
-let coalesce_arg =
-  Arg.(
-    value & flag
-    & info [ "coalesce" ]
-        ~doc:
-          "Share computations: a query rides a queued or in-flight \
-           computation with the same kind, injection point and an equal \
-           scope, or, for reachability, a containing one (each client \
-           still receives its own signed answer).")
-
 let batch_window_arg =
   Arg.(
     value & opt float 0.0
@@ -104,12 +94,8 @@ let limits_arg =
            to BURST; over-budget clients receive a signed throttle answer.")
 
 let frontend_term =
-  let make coalesce batch_window limits =
-    if coalesce || batch_window > 0.0 || limits <> None then
-      { Rvaas.Frontend.limits; coalesce; batch_window }
-    else Rvaas.Frontend.default_config
-  in
-  Cmdliner.Term.(const make $ coalesce_arg $ batch_window_arg $ limits_arg)
+  let make batch_window limits = { Rvaas.Frontend.limits; batch_window } in
+  Cmdliner.Term.(const make $ batch_window_arg $ limits_arg)
 
 let make_topo kind size =
   let p = Workload.Topogen.default_params in

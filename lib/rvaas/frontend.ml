@@ -1,12 +1,9 @@
 type limits = { rate : float; burst : float }
 
-type config = { limits : limits option; coalesce : bool; batch_window : float }
-
-let default_config = { limits = None; coalesce = false; batch_window = 0.0 }
+type config = { limits : limits option; batch_window : float }
 
 (* [subsume] is accepted and ignored: perfbench/src/storm.ml still passes it. *)
-let coalescing ?limits ?(batch_window = 0.0) ?subsume:_ () =
-  { limits; coalesce = true; batch_window }
+let coalescing ?limits ?(batch_window = 0.0) ?subsume:_ () = { limits; batch_window }
 
 (* The sharing key: everything except the scope that two questions must
    agree on to share a computation — query kind, [Path_length]'s
@@ -108,8 +105,8 @@ type 'w t = {
   buckets : (int, bucket) Hashtbl.t;
   queue : 'w entry Queue.t;  (* arrival order, drained whole at flush *)
   index : (key, 'w entry list ref) Hashtbl.t;
-      (* queued entries per sharing key (newest first), only with
-         [cfg.coalesce]; cleared with the queue *)
+      (* queued entries per sharing key (newest first); cleared with
+         the queue *)
   stats : stats;
 }
 
@@ -206,7 +203,7 @@ let attach_slice t ~slice slices ~scope query ~waiter =
     `Fresh { sl_scope = scope; sl_hash = h; sl_query = query; sl_waiters = [ waiter ] }
 
 let submit t ~key ~scope ~client ~sw ~port query ~waiter =
-  let cell = if t.cfg.coalesce then Hashtbl.find_opt t.index key else None in
+  let cell = Hashtbl.find_opt t.index key in
   let over e = Some (e.e_scope, true) in
   match Option.bind cell (fun cell -> ride key ~scope ~over !cell) with
   | Some (`Equal entry) ->
@@ -234,10 +231,9 @@ let submit t ~key ~scope ~client ~sw ~port query ~waiter =
       }
     in
     Queue.add entry t.queue;
-    (if t.cfg.coalesce then
-       match cell with
-       | Some cell -> cell := entry :: !cell
-       | None -> Hashtbl.replace t.index key (ref [ entry ]));
+    (match cell with
+    | Some cell -> cell := entry :: !cell
+    | None -> Hashtbl.replace t.index key (ref [ entry ]));
     `Queued (if first then `First else `Later)
 
 let queued t = Queue.length t.queue

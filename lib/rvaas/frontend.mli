@@ -25,6 +25,8 @@
       hash.  Each rider still receives its own signed answer under its
       own nonce at finalize.  Queries arriving within one settle tick
       ([batch_window]) share the queue before any of them evaluates.
+      Sharing is the serving path: there is no per-query mode, and a
+      question nothing covers simply opens its own computation.
 
     The module is deliberately free of protocol state: it queues
     generic waiter tokens (['w] is {!Service}'s requester record) and
@@ -38,23 +40,16 @@ type limits = { rate : float; burst : float }
 
 type config = {
   limits : limits option;  (** admission control; [None] admits all *)
-  coalesce : bool;
-      (** share computations by the sharing rule; [false] evaluates
-          every query on its own *)
   batch_window : float;
       (** settle tick in seconds: queries arriving within the window
           are flushed together.  [0.] flushes synchronously (no added
           latency). *)
 }
 
-(** Everything off: admit all, evaluate per query, no settle tick —
-    the seed behaviour, bit-compatible with the pre-frontend
-    service. *)
-val default_config : config
-
-(** [coalescing ()] is the recommended serving configuration: sharing
-    on, optional admission [limits], a [batch_window] (default [0.]).
-    [subsume] is accepted and ignored. *)
+(** [coalescing ()] is the serving configuration: optional admission
+    [limits] and a [batch_window] (default [0.]).  Sharing is not
+    optional — every query goes through {!ride}.  [subsume] is
+    accepted and ignored. *)
 val coalescing :
   ?limits:limits -> ?batch_window:float -> ?subsume:bool -> unit -> config
 
@@ -174,8 +169,8 @@ val attach_slice :
   [ `Joined | `Fresh of 'w slice ]
 
 (** [submit t ~key ~scope ~client ~sw ~port query ~waiter] enqueues a
-    query whose effective scope is [scope].  With [config.coalesce],
-    {!ride} over the queued entries under [key] decides first:
+    query whose effective scope is [scope].  {!ride} over the queued
+    entries under [key] decides first:
     [`Coalesced] means the query became a waiter of an equal entry or
     slice, [`Subsumed] a fresh slice of a containing entry
     ({!attach_slice}).  Otherwise
@@ -198,8 +193,7 @@ val submit :
 val queued : 'w t -> int
 
 (** [flush t] drains the queue into the computations to open, in
-    arrival order.  With [config.coalesce], a [Reachable_endpoints]
-    entry whose scope another entry at its injection point strictly
+    arrival order.  A [Reachable_endpoints] entry whose scope another entry at its injection point strictly
     contains folds into that entry as a slice first (catching the
     narrow-before-broad arrival order {!submit} cannot), so the list —
     and the [entries] stat — reflect the computations actually handed

@@ -68,10 +68,9 @@ type pending = {
   probes : probe list;
   mutable requesters : requester list;  (* newest first *)
   mutable slices : slice_pending list;  (* newest first *)
-  cover : cover option;
-      (* [Some] iff opened through a sharing front-end, and so indexed
-         in [t.in_flight] until it finalizes or the snapshot changes
-         (recovery re-issues never share) *)
+  cover : cover;
+      (* indexed in [t.in_flight] under [cover.c_key] until it
+         finalizes or the snapshot changes *)
   mutable finalized : bool;
       (* an early finalize (full quorum) races the scheduled one *)
   mutable deadline_at : float;
@@ -98,9 +97,7 @@ type t = {
       (* keyed by requester nonce, until answered; many nonces can map
          to one coalesced pending *)
   frontend : requester Frontend.t;
-      (* admission + sharing policy in front of evaluation; default
-         config = admit all, no sharing, no settle tick (the seed
-         behaviour) *)
+      (* admission + the sharing rule in front of evaluation *)
   in_flight : (Frontend.key, pending list ref) Hashtbl.t;
       (* in-flight computations by sharing key (newest first) that
          evaluated the current snapshot: a query rides one by
@@ -320,14 +317,12 @@ let journal_record t record =
 (* Remove a finalized (or torn-down) computation from the in-flight
    index. *)
 let drop_cover t (p : pending) =
-  match p.cover with
+  let key = p.cover.c_key in
+  match Hashtbl.find_opt t.in_flight key with
+  | Some cell ->
+    cell := List.filter (fun q -> q != p) !cell;
+    if !cell = [] then Hashtbl.remove t.in_flight key
   | None -> ()
-  | Some c -> (
-    match Hashtbl.find_opt t.in_flight c.c_key with
-    | Some cell ->
-      cell := List.filter (fun q -> q != p) !cell;
-      if !cell = [] then Hashtbl.remove t.in_flight c.c_key
-    | None -> ())
 
 let finalize t (p : pending) =
   if t.live && not p.finalized then
@@ -457,9 +452,9 @@ let journal_opened t (r : requester) =
 
 (* Open one computation for [requesters] (already evaluated to [base]
    + probe [targets]) — plus any [slices] riding it — and drive its
-   auth-probe round.  A [cover] indexes the computation in
-   [t.in_flight] so later queries can ride it. *)
-let open_with t ~base ~targets ?(slices = []) ?cover ~requesters () =
+   auth-probe round.  Its [cover] indexes it in [t.in_flight] so later
+   queries can ride it. *)
+let open_with t ~base ~targets ?(slices = []) ~cover ~requesters () =
   let probes =
     List.map
       (fun target ->
@@ -488,36 +483,14 @@ let open_with t ~base ~targets ?(slices = []) ?cover ~requesters () =
   List.iter
     (fun sp -> List.iter register (List.rev sp.sp_slice.Frontend.sl_waiters))
     (List.rev slices);
-  (match cover with
-  | Some c -> (
-    match Hashtbl.find_opt t.in_flight c.c_key with
-    | Some cell -> cell := p :: !cell
-    | None -> Hashtbl.replace t.in_flight c.c_key (ref [ p ]))
-  | None -> ());
+  (match Hashtbl.find_opt t.in_flight cover.c_key with
+  | Some cell -> cell := p :: !cell
+  | None -> Hashtbl.replace t.in_flight cover.c_key (ref [ p ]));
   if probes = [] then finalize t p
   else begin
     List.iter (fun probe -> Hashtbl.replace t.pending probe.challenge p) probes;
     dispatch_probes t p
   end
-
-(* Evaluate a query and drive its auth-probe round.  Used by [reissue]
-   (a recovering controller re-driving a query recorded in the
-   journal) — recovery bypasses admission and sharing. *)
-let open_query t ~client ~nonce ~sw ~port ~ip query =
-  let base, targets = evaluate t ~client ~sw ~port query in
-  open_with t ~base ~targets
-    ~requesters:
-      [
-        {
-          r_nonce = nonce;
-          r_client = client;
-          r_sw = sw;
-          r_port = port;
-          r_ip = ip;
-          r_query = query;
-        };
-      ]
-    ()
 
 (* A rewrite anywhere on the swept region makes slicing unsound:
    [arrival(S) = arrival(S') ∩ S] for [S ⊆ S'] holds only while
@@ -546,29 +519,27 @@ let slice_of t arrivals (sl : requester Frontend.slice) =
         arrivals;
   }
 
-(* A flushed front-end entry: one evaluation with the leader's
-   coordinates, answers fanned out to every attached waiter.  With
-   sharing on, [Reachable_endpoints] evaluates through [reach] directly
-   so the arrival spaces are in hand for the entry's slices and for
-   in-flight slicing — same [base], same [targets], byte for byte, as
-   the [evaluate] path it bypasses.  A rewrite on the region makes
-   slicing unsound: the entry still answers its own waiters exactly,
-   while every slice re-runs as its own per-query computation. *)
+(* The one way a computation opens — a flushed front-end entry or a
+   query recovered from the journal: one evaluation with the leader's coordinates,
+   answers fanned out to every attached waiter, and the computation
+   indexed in flight for later riders.  [Reachable_endpoints] evaluates
+   through [reach] directly so the arrival spaces are in hand for the
+   entry's slices and for in-flight slicing — same [base], same
+   [targets], byte for byte, as the [evaluate] path it bypasses.  A
+   rewrite on the region makes slicing unsound: the entry still answers
+   its own waiters exactly, while every slice re-runs as its own
+   computation. *)
 let open_entry t (e : requester Frontend.entry) =
-  let share = (Frontend.config t.frontend).coalesce in
-  let cover ?arrivals scope =
-    if share then Some { c_key = e.e_key; c_scope = scope; c_arrivals = arrivals }
-    else None
-  in
+  let cover ?arrivals scope = { c_key = e.e_key; c_scope = scope; c_arrivals = arrivals } in
   match e.e_query.Query.kind with
-  | Query.Reachable_endpoints when share ->
+  | Query.Reachable_endpoints ->
     let r = reach t ~src_sw:e.e_sw ~src_port:e.e_port ~hs:e.e_scope in
     let arrivals = r.Verifier.endpoints in
     let base = empty_answer t ~nonce:(fresh_hex t) ~kind:e.e_query.Query.kind in
     let targets = List.map fst arrivals in
     if rewrite_tainted t r then begin
       Frontend.note_slice_fallback t.frontend (List.length e.e_slices);
-      open_with t ~base ~targets ?cover:(cover e.e_scope) ~requesters:e.e_waiters ();
+      open_with t ~base ~targets ~cover:(cover e.e_scope) ~requesters:e.e_waiters ();
       List.iter
         (fun (sl : requester Frontend.slice) ->
           match sl.Frontend.sl_waiters with
@@ -578,19 +549,19 @@ let open_entry t (e : requester Frontend.entry) =
               evaluate t ~client:lead.r_client ~sw:e.e_sw ~port:e.e_port
                 sl.Frontend.sl_query
             in
-            open_with t ~base ~targets ?cover:(cover sl.Frontend.sl_scope)
+            open_with t ~base ~targets ~cover:(cover sl.Frontend.sl_scope)
               ~requesters:sl.Frontend.sl_waiters ())
         e.e_slices
     end
     else
       let slices = List.map (slice_of t arrivals) e.e_slices in
-      open_with t ~base ~targets ~slices ?cover:(cover ~arrivals e.e_scope)
+      open_with t ~base ~targets ~slices ~cover:(cover ~arrivals e.e_scope)
         ~requesters:e.e_waiters ()
   | _ ->
     let base, targets =
       evaluate t ~client:e.e_client ~sw:e.e_sw ~port:e.e_port e.e_query
     in
-    open_with t ~base ~targets ?cover:(cover e.e_scope) ~requesters:e.e_waiters ()
+    open_with t ~base ~targets ~cover:(cover e.e_scope) ~requesters:e.e_waiters ()
 
 let flush_frontend t =
   if t.live then begin
@@ -621,9 +592,8 @@ let flush_frontend t =
    own. *)
 let try_ride t key ~scope (r : requester) =
   let over p =
-    match p.cover with
-    | Some c when not p.finalized -> Some (c.c_scope, Option.is_some c.c_arrivals)
-    | _ -> None
+    if p.finalized then None
+    else Some (p.cover.c_scope, Option.is_some p.cover.c_arrivals)
   in
   match
     Option.bind (Hashtbl.find_opt t.in_flight key) (fun cell ->
@@ -644,7 +614,7 @@ let try_ride t key ~scope (r : requester) =
        with
       | `Joined -> ()
       | `Fresh sl ->
-        let arrivals = Option.get (Option.bind p.cover (fun c -> c.c_arrivals)) in
+        let arrivals = Option.get p.cover.c_arrivals in
         p.slices <- slice_of t arrivals sl :: p.slices);
       Hashtbl.replace t.open_queries r.r_nonce p);
     journal_opened t r;
@@ -685,10 +655,9 @@ let accept_request t ~client ~nonce ~sw ~port ~ip (query : Query.t) =
         r_query = query;
       }
     in
-    let cfg = Frontend.config t.frontend in
     let key = Frontend.key_of ~client ~sw ~port query in
     let scope = effective_scope query.Query.scope in
-    if cfg.coalesce && try_ride t key ~scope r then ()
+    if try_ride t key ~scope r then ()
     else
       match
         Frontend.submit t.frontend ~key ~scope ~client ~sw ~port query ~waiter:r
@@ -696,9 +665,10 @@ let accept_request t ~client ~nonce ~sw ~port ~ip (query : Query.t) =
       | `Coalesced | `Subsumed | `Queued `Later ->
         Hashtbl.replace t.queued_nonces nonce ()
       | `Queued `First ->
-        if cfg.batch_window > 0.0 then begin
+        let window = (Frontend.config t.frontend).batch_window in
+        if window > 0.0 then begin
           Hashtbl.replace t.queued_nonces nonce ();
-          Netsim.Sim.schedule (Netsim.Net.sim t.net) ~delay:cfg.batch_window (fun () ->
+          Netsim.Sim.schedule (Netsim.Net.sim t.net) ~delay:window (fun () ->
               flush_frontend t)
         end
         else
@@ -798,7 +768,7 @@ let repair_intercepts t ~sw =
       end)
     (Wire.intercept_specs ())
 
-let create ?pool ?(retry = no_retry) ?(frontend = Frontend.default_config) net monitor
+let create ?pool ?(retry = no_retry) ?(frontend = Frontend.coalescing ()) net monitor
     ~directory ~geo ~keypair ~auth_timeout () =
   if retry.attempts < 1 then invalid_arg "Service.create: retry.attempts must be >= 1";
   if retry.base_delay < 0.0 then invalid_arg "Service.create: negative retry.base_delay";
@@ -889,11 +859,32 @@ let reinstall_intercepts t = install_intercepts t
 (* Re-drive an integrity query recovered from the journal: fresh
    challenges (the old ones died — possibly observably — with the old
    session), a fresh evaluation against the resynchronised snapshot,
-   and a fresh finalize deadline. *)
+   and a fresh finalize deadline.  It opens as a one-waiter entry,
+   past admission (a recovered query is never throttled) and without
+   riding, but indexed in flight like any other computation. *)
 let reissue t (q : Journal.query_open) =
   t.stats.queries_reissued <- t.stats.queries_reissued + 1;
-  open_query t ~client:q.q_client ~nonce:q.q_nonce ~sw:q.q_sw ~port:q.q_port
-    ~ip:(Option.value ~default:0 q.q_ip) q.q_query
+  let r =
+    {
+      r_nonce = q.q_nonce;
+      r_client = q.q_client;
+      r_sw = q.q_sw;
+      r_port = q.q_port;
+      r_ip = Option.value ~default:0 q.q_ip;
+      r_query = q.q_query;
+    }
+  in
+  open_entry t
+    {
+      Frontend.e_key = Frontend.key_of ~client:r.r_client ~sw:r.r_sw ~port:r.r_port r.r_query;
+      e_client = r.r_client;
+      e_sw = r.r_sw;
+      e_port = r.r_port;
+      e_query = r.r_query;
+      e_scope = effective_scope r.r_query.Query.scope;
+      e_waiters = [ r ];
+      e_slices = [];
+    }
 
 (* After a session re-establishment on the *same* controller instance
    (partition healed): every still-open query retransmits its

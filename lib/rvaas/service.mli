@@ -77,21 +77,22 @@ type t
     quorum is still incomplete at finalize the answer carries
     [degraded = true].
 
-    [frontend] (default {!Frontend.default_config}: admit everything,
-    no sharing, no settle tick — the historical behaviour) puts the
-    multi-tenant front-end in front of evaluation: per-client
-    token-bucket admission and, with [frontend.coalesce], the sharing
-    rule ({!Frontend.ride}) against queued and in-flight computations
-    alike — an equal question rides as a waiter, a contained
-    [Reachable_endpoints] one as a slice cut out of the computation's
-    arrival spaces, joining an equal slice when there is one
-    ({!Frontend.attach_slice}; rewrite-tainted regions fall back to
-    per-query evaluation); per-requester signed answers fan out at the shared
-    finalize.  An in-flight computation takes riders only until the
-    monitored snapshot changes.  Each flush seeds one
-    pooled {!Plumbing.warm} over every injection point it spans, so
-    cold sources compile across the worker pool instead of
-    sequentially.  Recovery re-issues ({!reissue}) bypass it.
+    [frontend] (default {!Frontend.coalescing}[ ()]: admit everything,
+    no settle tick) configures the multi-tenant front-end every
+    request passes: per-client token-bucket admission, then the
+    sharing rule ({!Frontend.ride}) against queued and in-flight
+    computations alike — an equal question rides as a waiter, a
+    contained [Reachable_endpoints] one as a slice cut out of the
+    computation's arrival spaces, joining an equal slice when there is
+    one ({!Frontend.attach_slice}; rewrite-tainted regions fall back
+    to per-query evaluation); per-requester signed answers fan out at
+    the shared finalize.  Sharing is the serving path — there is no
+    per-query mode.  Every computation, a flushed entry or a query
+    recovered after failover ({!reissue}), opens the same way and takes riders until
+    it finalizes or the monitored snapshot changes.  Each flush seeds
+    one pooled {!Plumbing.warm} over every injection point it spans,
+    so cold sources compile across the worker pool instead of
+    sequentially.
     @raise Invalid_argument on a retry policy with [attempts < 1], a
     negative [base_delay], or an invalid front-end config (see
     {!Frontend.create}). *)
@@ -210,7 +211,10 @@ val reinstall_intercepts : t -> unit
 (** [reissue t q] re-drives a journalled in-flight query on this
     (recovered or standby) instance: fresh evaluation, fresh
     challenges, fresh finalize deadline.  The answer reaches the
-    requester under the original nonce. *)
+    requester under the original nonce.  The query opens as a
+    one-waiter computation past admission (a recovered query is never
+    throttled) and without riding, but is indexed in flight, so a
+    later equal question rides it. *)
 val reissue : t -> Journal.query_open -> unit
 
 (** [retransmit_pending t] re-drives every still-open query of this

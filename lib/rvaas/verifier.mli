@@ -78,16 +78,6 @@ type ctx
 val context :
   flows_of:(int -> Ofproto.Flow_entry.spec list) -> Netsim.Topology.t -> ctx
 
-(** [invalidate_switch ctx ~sw] drops cached guards for [sw] — call
-    when that switch's configuration view changed.  Other switches'
-    caches stay valid, making long-lived contexts cheap to keep current
-    under churn. *)
-val invalidate_switch : ctx -> sw:int -> unit
-
-(** [cached_ports ctx] counts cached (switch, port) guard entries —
-    instrumentation for the incremental-verification benchmark. *)
-val cached_ports : ctx -> int
-
 (** [reach_in ctx ?boundary ~src_sw ~src_port ~hs] computes forward
     reachability of the header space [hs] injected at the given ingress
     port.  When [boundary] is given, switches for which it returns
@@ -116,15 +106,11 @@ val reach :
     (host, sw, port) in the wiring plan. *)
 val access_points : Netsim.Topology.t -> endpoint list
 
-(** [sources_reaching ?pool ~flows_of topo ~dst ~hs] runs {!reach} from
-    every access point except [dst] itself and returns those whose
-    traffic (within [hs]) can arrive at [dst].  When [pool] is given
-    (and has size > 1) the per-access-point passes run in parallel,
-    each worker on its own context; results are identical to the
-    sequential path, in the same order.  [flows_of] must then be safe
-    to call from several domains at once (pure reads). *)
+(** [sources_reaching ~flows_of topo ~dst ~hs] runs {!reach} from
+    every access point except [dst] itself, over one shared context,
+    and returns those whose traffic (within [hs]) can arrive at [dst],
+    in access-point order. *)
 val sources_reaching :
-  ?pool:Support.Pool.t ->
   flows_of:(int -> Ofproto.Flow_entry.spec list) ->
   Netsim.Topology.t ->
   dst:endpoint ->

@@ -11,7 +11,7 @@ type t = {
   size : int;
   mutex : Mutex.t;
   nonempty : Condition.t;
-  jobs : (int -> unit) Queue.t; (* a job receives its runner's slot *)
+  jobs : (unit -> unit) Queue.t;
   mutable workers : unit Domain.t list;
   mutable stopped : bool;
 }
@@ -53,12 +53,12 @@ let global () =
     global_pool := Some p;
     p
 
-let run_job job slot =
+let run_job job =
   let inside = Domain.DLS.get inside_job in
   inside := true;
-  Fun.protect ~finally:(fun () -> inside := false) (fun () -> job slot)
+  Fun.protect ~finally:(fun () -> inside := false) job
 
-let worker_loop t slot =
+let worker_loop t =
   let rec loop () =
     Mutex.lock t.mutex;
     let rec take () =
@@ -75,7 +75,7 @@ let worker_loop t slot =
     match job with
     | None -> ()
     | Some job ->
-      run_job job slot;
+      run_job job;
       loop ()
   in
   loop ()
@@ -83,52 +83,19 @@ let worker_loop t slot =
 let ensure_workers t =
   if t.workers = [] && t.size > 1 && not t.stopped then
     t.workers <-
-      List.init (t.size - 1) (fun k -> Domain.spawn (fun () -> worker_loop t (k + 1)))
+      List.init (t.size - 1) (fun _ -> Domain.spawn (fun () -> worker_loop t))
 
-let run_sequential ~init ~f xs =
-  if Array.length xs = 0 then [||]
-  else
-    let state = init () in
-    Array.map (f state) xs
-
-(* Per-slot worker state for one parallel call.  A slot whose [init]
-   raised is poisoned: the exception is replayed for every task landing
-   there instead of re-running a failing [init] (with its partial side
-   effects) once per queued task — the domain stays clean and the
-   caller re-raises the original exception like any task failure. *)
-type 'c slot_state = Ready of 'c | Poisoned of exn * Printexc.raw_backtrace
-
-let parmap_init t ~init ~f xs =
+let parmap t f xs =
   let n = Array.length xs in
-  if n <= 1 || t.size = 1 || t.stopped || !(Domain.DLS.get inside_job) then
-    run_sequential ~init ~f xs
+  if n <= 1 || t.size = 1 || t.stopped || !(Domain.DLS.get inside_job) then Array.map f xs
   else begin
     ensure_workers t;
     let results = Array.make n None in
-    let states = Array.make t.size None in
     let batch =
       { bm = Mutex.create (); finished = Condition.create (); remaining = n; failed = None }
     in
-    let job i slot =
-      let state =
-        match states.(slot) with
-        | Some (Ready s) -> Ok s
-        | Some (Poisoned (e, bt)) -> Error (e, bt)
-        | None -> (
-          try
-            let s = init () in
-            states.(slot) <- Some (Ready s);
-            Ok s
-          with e ->
-            let bt = Printexc.get_raw_backtrace () in
-            states.(slot) <- Some (Poisoned (e, bt));
-            Error (e, bt))
-      in
-      let outcome =
-        match state with
-        | Error _ as err -> err
-        | Ok s -> ( try Ok (f s xs.(i)) with e -> Error (e, Printexc.get_raw_backtrace ()))
-      in
+    let job i () =
+      let outcome = try Ok (f xs.(i)) with e -> Error (e, Printexc.get_raw_backtrace ()) in
       (match outcome with Ok v -> results.(i) <- Some v | Error _ -> ());
       Mutex.lock batch.bm;
       (match outcome with
@@ -147,15 +114,15 @@ let parmap_init t ~init ~f xs =
     done;
     Condition.broadcast t.nonempty;
     Mutex.unlock t.mutex;
-    (* The caller participates (slot 0) until the queue drains, then
-       waits out the jobs still in flight on other domains. *)
+    (* The caller participates until the queue drains, then waits out
+       the jobs still in flight on other domains. *)
     let continue = ref true in
     while !continue do
       Mutex.lock t.mutex;
       let job = Queue.take_opt t.jobs in
       Mutex.unlock t.mutex;
       match job with
-      | Some job -> run_job job 0
+      | Some job -> run_job job
       | None -> continue := false
     done;
     Mutex.lock batch.bm;
@@ -168,8 +135,6 @@ let parmap_init t ~init ~f xs =
     | None -> ());
     Array.map (function Some v -> v | None -> assert false) results
   end
-
-let parmap t f xs = parmap_init t ~init:(fun () -> ()) ~f:(fun () x -> f x) xs
 
 let map_list t f xs = Array.to_list (parmap t f (Array.of_list xs))
 

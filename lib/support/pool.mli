@@ -1,10 +1,9 @@
 (** A fixed pool of worker domains for data-parallel sweeps.
 
     Header-space verification is embarrassingly parallel across query
-    sources, so the hot paths ({!Rvaas.Verifier.sources_reaching}, the
-    per-switch and per-source passes of {!Rvaas.Plumbing.compile} and
-    {!Rvaas.Plumbing.warm}) partition their work over a pool of OCaml 5
-    domains.  The pool is
+    sources, so the hot paths (the per-switch and per-source passes of
+    {!Rvaas.Plumbing.compile} and {!Rvaas.Plumbing.warm}) partition
+    their work over a pool of OCaml 5 domains.  The pool is
     deliberately small and dependency-free:
 
     - [parmap] preserves input order, so parallel and sequential runs
@@ -48,16 +47,6 @@ val global : unit -> t
     [i] holds [f xs.(i)]; ordering is deterministic regardless of
     scheduling. *)
 val parmap : t -> ('a -> 'b) -> 'a array -> 'b array
-
-(** [parmap_init t ~init ~f xs] is [parmap] with per-worker state:
-    [init ()] runs at most once per participating domain (lazily, on
-    its first task of this call) and its result is passed to every
-    [f] invocation that domain executes.  Used to give each worker its
-    own {!Rvaas.Verifier} context — their guard caches are not
-    thread-safe to share.  An [init] that raises poisons its slot for
-    the rest of the call (it is not re-run per task) and the exception
-    is re-raised in the caller exactly like a task exception. *)
-val parmap_init : t -> init:(unit -> 'c) -> f:('c -> 'a -> 'b) -> 'a array -> 'b array
 
 (** [map_list t f xs] is [parmap] over a list. *)
 val map_list : t -> ('a -> 'b) -> 'a list -> 'b list

@@ -53,7 +53,7 @@ let default_spec topo =
     ha = None;
     persist = None;
     engine = `Compiled;
-    frontend = Rvaas.Frontend.default_config;
+    frontend = Rvaas.Frontend.coalescing ();
     range_hosts = 0;
   }
 

@@ -51,8 +51,8 @@ type spec = {
           service always serves from the compiled plumbing graph *)
   frontend : Rvaas.Frontend.config;
       (** the service's multi-tenant front-end (admission and the
-          sharing rule); {!Rvaas.Frontend.default_config} —
-          everything off — by default *)
+          sharing rule); {!Rvaas.Frontend.coalescing}[ ()] — admit
+          all, no settle tick — by default *)
   range_hosts : int;
       (** 0 (default): every topology host is one individually
           addressed endpoint.  [> 0]: range mode — every topology host

@@ -3,7 +3,9 @@
    [query] and [attack] run one client query against a fresh
    deployment — benign, then after a join attack — and must print the
    policy verdict the serving engine has always produced for them;
-   the benign query also runs behind the sharing front-end.
+   the benign query also runs behind a settle tick.  [topo], [monitor]
+   and [wiring] on the same small world must print exactly the lines
+   recorded below (the simulation is seeded, so they never vary).
 
    [persist run --dir D] journals a monitored deployment into a
    segmented store and exits without closing it; [persist recover
@@ -103,9 +105,51 @@ let test_help_has_no_engine () =
   check Alcotest.bool "--kind documented" true (help_mentions "query" "--kind");
   check Alcotest.bool "no --engine option" false (help_mentions "query" "--engine")
 
-let test_help_has_no_subsume () =
-  check Alcotest.bool "--coalesce documented" true (help_mentions "query" "--coalesce");
+let test_help_has_no_sharing_switch () =
+  check Alcotest.bool "--batch-window documented" true
+    (help_mentions "query" "--batch-window");
+  check Alcotest.bool "no --coalesce option" false (help_mentions "query" "--coalesce");
   check Alcotest.bool "no --subsume option" false (help_mentions "query" "--subsume")
+
+(* Whole-output regression: [args] must print exactly [expected]. *)
+let prints args expected () =
+  let code, out = run_cli args in
+  check Alcotest.int "exit code" 0 code;
+  check (Alcotest.list Alcotest.string) "output" expected out
+
+let topo_lines =
+  [
+    "switches: 4";
+    "hosts: 4";
+    "links: 7";
+    "  s0:1 -- s1:1 (100.0 us)";
+    "  s1:2 -- s2:1 (100.0 us)";
+    "  s2:2 -- s3:1 (100.0 us)";
+    "  h0:0 -- s0:0 (100.0 us)";
+    "  h1:0 -- s1:0 (100.0 us)";
+    "  h2:0 -- s2:0 (100.0 us)";
+    "  h3:0 -- s3:0 (100.0 us)";
+  ]
+
+let monitor_lines =
+  [
+    "switches monitored: 4";
+    "believed rules: 28";
+    "events seen: 72 (lost: 0)";
+    "polls sent: 64";
+    "divergent switches vs. data plane: 0";
+    "snapshot age: 116.3 ms";
+    "history entries: 136";
+  ]
+
+let wiring_lines =
+  [
+    "probes sent: 6";
+    "confirmed: 6";
+    "misdelivered: 0";
+    "missing: 0";
+    "wiring matches the trusted plan";
+  ]
 
 let () =
   if Array.length Sys.argv > 1 then cli := Sys.argv.(1);
@@ -129,9 +173,18 @@ let () =
                ~line:"ALARM: unknown access point sw=1 port=0 can reach the client");
           Alcotest.test_case "help has no --engine" `Quick test_help_has_no_engine;
           Alcotest.test_case "shared front-end query is clean" `Quick
-            (verdict "query" ~extra:[ "--coalesce"; "--batch-window"; "0.002" ] ~exit_code:0
+            (verdict "query" ~extra:[ "--batch-window"; "0.002" ] ~exit_code:0
                ~line:"policy check: clean");
-          Alcotest.test_case "help has --coalesce, no --subsume" `Quick
-            test_help_has_no_subsume;
+          Alcotest.test_case "help has no --coalesce, no --subsume" `Quick
+            test_help_has_no_sharing_switch;
+        ] );
+      ( "world",
+        [
+          Alcotest.test_case "topo prints the wiring plan" `Quick
+            (prints [ "topo"; "--topo"; "linear"; "--size"; "4" ] topo_lines);
+          Alcotest.test_case "monitor statistics" `Quick
+            (prints ("monitor" :: small_world) monitor_lines);
+          Alcotest.test_case "wiring probes confirm the plan" `Quick
+            (prints ("wiring" :: small_world) wiring_lines);
         ] );
     ]

@@ -25,7 +25,7 @@ let test_config_validation () =
     | _ -> false
   in
   let mk limits batch_window : int F.t =
-    F.create { F.limits; coalesce = true; batch_window }
+    F.create { F.limits; batch_window }
   in
   check Alcotest.bool "zero rate rejected" true
     (raises (fun () -> mk (Some { F.rate = 0.0; burst = 2.0 }) 0.0));
@@ -42,7 +42,7 @@ let test_config_validation () =
 let test_token_bucket () =
   let fe : int F.t =
     F.create
-      { F.limits = Some { F.rate = 1.0; burst = 2.0 }; coalesce = false; batch_window = 0.0 }
+      { F.limits = Some { F.rate = 1.0; burst = 2.0 }; batch_window = 0.0 }
   in
   (* Fresh bucket starts full: the burst passes, the next query not. *)
   check Alcotest.bool "burst 1 admitted" true (F.admit fe ~client:0 ~now:0.0);
@@ -61,7 +61,7 @@ let test_token_bucket () =
   check Alcotest.int "admissions counted" 6 s.F.admitted;
   check Alcotest.int "throttles counted" 3 s.F.throttled;
   (* Unlimited config admits everything. *)
-  let open_fe : int F.t = F.create F.default_config in
+  let open_fe : int F.t = F.create (F.coalescing ()) in
   for _ = 1 to 50 do
     check Alcotest.bool "no limits: admitted" true (F.admit open_fe ~client:0 ~now:0.0)
   done
@@ -292,8 +292,8 @@ let test_shared_parity () =
   let scopes s =
     [ scope_b (ip_of s ~host:2); scope_b (ip_of s ~host:4); scope_a () ]
   in
-  (* Reference: the same questions evaluated one by one on a service
-     with the front-end off. *)
+  (* Reference: the same questions evaluated one by one through
+     [Service.evaluate], which bypasses the front-end. *)
   let ref_s = Workload.Scenario.build (Workload.Scenario.default_spec topo) in
   (* Let the monitor complete a poll sweep: [evaluate] reads the
      believed configuration. *)
@@ -704,6 +704,48 @@ let test_snapshot_change_stops_riders () =
       Alcotest.(list (pair int int))
       "post-attack verdict" after (endpoint_points o.Rvaas.Client_agent.answer)
 
+(* ---- system: sharing is the default serving path ---- *)
+
+let test_default_spec_shares () =
+  (* No front-end override: the scenario's default serves through the
+     sharing rule, so an equal question arriving while the first is
+     collecting auth replies rides it. *)
+  let s = Workload.Scenario.build (Workload.Scenario.default_spec (Workload.Topogen.linear p 4)) in
+  settle s;
+  let pt = first_point s in
+  let agent = Workload.Scenario.agent s ~host:pt.Rvaas.Verifier.host in
+  let q = Rvaas.Query.make ~scope:(scope_a ()) Rvaas.Query.Reachable_endpoints in
+  let nonces = [ Rvaas.Client_agent.send_query agent q; Rvaas.Client_agent.send_query agent q ] in
+  settle s;
+  let fs = Rvaas.Service.frontend_stats s.service in
+  check Alcotest.int "second question rode the first" 1 fs.F.coalesced;
+  check Alcotest.int "one computation" 1 fs.F.entries;
+  let _, probes =
+    Rvaas.Service.evaluate s.service
+      ~client:(client_of s ~host:pt.Rvaas.Verifier.host)
+      ~sw:pt.Rvaas.Verifier.sw ~port:pt.Rvaas.Verifier.port q
+  in
+  let expected =
+    List.sort compare
+      (List.map (fun (ep : Rvaas.Verifier.endpoint) -> (ep.sw, ep.port)) probes)
+  in
+  List.iter
+    (fun nonce ->
+      match
+        List.find_opt
+          (fun (o : Rvaas.Client_agent.outcome) ->
+            String.equal o.answer.Rvaas.Query.nonce nonce)
+          (Rvaas.Client_agent.outcomes agent)
+      with
+      | None -> Alcotest.fail "query unanswered"
+      | Some o ->
+        check Alcotest.bool "signed" true o.Rvaas.Client_agent.signature_ok;
+        check
+          Alcotest.(list (pair int int))
+          "shared verdict = evaluate" expected
+          (endpoint_points o.Rvaas.Client_agent.answer))
+    nonces
+
 let () =
   Alcotest.run "frontend"
     [
@@ -732,6 +774,8 @@ let () =
             test_hash_collision_not_shared;
           Alcotest.test_case "snapshot change stops riders" `Quick
             test_snapshot_change_stops_riders;
+          Alcotest.test_case "default spec shares in flight" `Quick
+            test_default_spec_shares;
         ] );
       ( "subsume-parity",
         [

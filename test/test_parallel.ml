@@ -20,37 +20,6 @@ let build ?(clients = 2) ?(isolation = true) topo =
   Workload.Scenario.run s ~until:(Netsim.Sim.now (Netsim.Net.sim s.net) +. 0.3);
   s
 
-let endpoint_line ((ep : Rvaas.Verifier.endpoint), hs) =
-  Printf.sprintf "%d/%d/%d:%s" ep.host ep.sw ep.port
-    (String.concat "+"
-       (List.sort String.compare
-          (List.map Hspace.Tern.to_string (Hspace.Hs.cubes hs))))
-
-let endpoints_fingerprint eps = List.map endpoint_line eps
-
-(* ---- Verifier.sources_reaching: parallel = sequential ---- *)
-
-let test_sources_reaching_equal topo () =
-  let s = build topo in
-  let flows_of = Workload.Scenario.actual_flows s in
-  let hs = Rvaas.Verifier.ip_traffic_hs () in
-  (* Three destinations keep the fat-tree case fast while still
-     exercising distinct sweep shapes. *)
-  List.iteri
-    (fun i dst ->
-      if i < 3 then begin
-        let seq = Rvaas.Verifier.sources_reaching ~flows_of topo ~dst ~hs in
-        let par =
-          Rvaas.Verifier.sources_reaching ~pool:(Lazy.force pool4) ~flows_of topo
-            ~dst ~hs
-        in
-        check
-          Alcotest.(list string)
-          "parallel = sequential" (endpoints_fingerprint seq)
-          (endpoints_fingerprint par)
-      end)
-    (Rvaas.Verifier.access_points topo)
-
 (* ---- Service isolation query: pooled warm = sequential warm ---- *)
 
 let query_point s =
@@ -190,16 +159,8 @@ let test_federation_equals_global () =
   check Alcotest.bool "queries actually crossed domains" true (!crossed > 0)
 
 let () =
-  let p = Workload.Topogen.default_params in
   Alcotest.run "parallel"
     [
-      ( "verifier",
-        [
-          Alcotest.test_case "sources_reaching grid-3x3" `Quick
-            (test_sources_reaching_equal (Workload.Topogen.grid p ~rows:3 ~cols:3));
-          Alcotest.test_case "sources_reaching fat-tree-k4" `Quick
-            (test_sources_reaching_equal (Workload.Topogen.fat_tree p ~k:4));
-        ] );
       ( "service",
         [
           Alcotest.test_case "isolation parallel = sequential" `Quick

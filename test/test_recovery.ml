@@ -435,6 +435,57 @@ let run_sim s ~until = Workload.Scenario.run s ~until
 
 let sim_now s = Netsim.Sim.now (Netsim.Net.sim s.Workload.Scenario.net)
 
+(* A query recovered from the journal opens like any other
+   computation: indexed in flight, so an equal question asked right
+   after the takeover rides it instead of opening its own. *)
+let test_recovered_takes_riders () =
+  let s =
+    Workload.Scenario.build
+      {
+        (Workload.Scenario.default_spec
+           (Workload.Topogen.linear Workload.Topogen.default_params 4))
+        with
+        polling = Rvaas.Monitor.Periodic 0.02;
+        ha = Some ha_config;
+        frontend = Rvaas.Frontend.coalescing ();
+      }
+  in
+  Workload.Scenario.run s ~until:0.3;
+  let ctrl = Workload.Scenario.controller s in
+  let agent = Workload.Scenario.agent s ~host:0 in
+  (* A muted asker never answers its own auth challenge: the query
+     stays in flight until the auth timeout, across the crash. *)
+  Rvaas.Client_agent.set_mute agent true;
+  let iso = Rvaas.Query.make Rvaas.Query.Isolation in
+  let nonce = Rvaas.Client_agent.send_query agent iso in
+  while Rvaas.Service.open_query_count (Workload.Scenario.service s) = 0 && sim_now s < 0.5 do
+    run_sim s ~until:(sim_now s +. 0.0001)
+  done;
+  Rvaas.Failover.crash ctrl;
+  let r = Rvaas.Failover.restart ctrl in
+  check Alcotest.int "the open query was re-driven" 1 r.Rvaas.Failover.reissued_queries;
+  let svc = Workload.Scenario.service s in
+  let pt =
+    List.find
+      (fun (ep : Rvaas.Verifier.endpoint) -> ep.host = 0)
+      (Rvaas.Verifier.access_points (Netsim.Net.topology s.net))
+  in
+  let ip = (Option.get (Sdnctl.Addressing.host s.addressing ~host:0)).Sdnctl.Addressing.ip in
+  Rvaas.Service.inject_query svc ~client:0 ~nonce:"rider" ~sw:pt.Rvaas.Verifier.sw
+    ~port:pt.Rvaas.Verifier.port ~ip iso;
+  let fs = Rvaas.Service.frontend_stats svc in
+  check Alcotest.int "rode the recovered computation" 1 fs.Rvaas.Frontend.coalesced;
+  check Alcotest.int "opened nothing of its own" 0 fs.Rvaas.Frontend.entries;
+  run_sim s ~until:(sim_now s +. 0.5);
+  check Alcotest.bool "original query answered" true
+    (List.exists
+       (fun (o : Rvaas.Client_agent.outcome) ->
+         String.equal o.answer.Rvaas.Query.nonce nonce)
+       (Rvaas.Client_agent.outcomes agent));
+  check Alcotest.int "both answered by one computation" 2
+    (Rvaas.Service.stats svc).answers_sent;
+  check Alcotest.int "nothing left open" 0 (Rvaas.Service.open_query_count svc)
+
 let test_quorum_single_winner () =
   (* >= 20 RNG seeds; each: 3 standbys with randomized observation
      order, crash, exactly one takeover; then crash the winner —
@@ -686,6 +737,8 @@ let () =
           Alcotest.test_case "restart replays the journal" `Quick test_restart_replay;
           Alcotest.test_case "live journal image recovers" `Quick
             test_live_journal_image_recovers;
+          Alcotest.test_case "recovered query takes riders" `Quick
+            test_recovered_takes_riders;
         ] );
       ( "quorum",
         [

@@ -145,27 +145,6 @@ let test_ring_fold_clear () =
   Support.Ring.clear r;
   check Alcotest.int "cleared" 0 (Support.Ring.length r)
 
-(* ---- Stats ---- *)
-
-let test_stats_mean_stddev () =
-  check (Alcotest.float 1e-9) "mean" 2.0 (Support.Stats.mean [ 1.0; 2.0; 3.0 ]);
-  check (Alcotest.float 1e-9) "mean empty" 0.0 (Support.Stats.mean []);
-  check (Alcotest.float 1e-9) "stddev constant" 0.0 (Support.Stats.stddev [ 5.0; 5.0; 5.0 ]);
-  check (Alcotest.float 1e-6) "stddev" (sqrt (2.0 /. 3.0))
-    (Support.Stats.stddev [ 1.0; 2.0; 3.0 ])
-
-let test_stats_percentile () =
-  let xs = List.init 100 (fun i -> float_of_int (i + 1)) in
-  check (Alcotest.float 1e-9) "p50" 50.0 (Support.Stats.percentile 50.0 xs);
-  check (Alcotest.float 1e-9) "p99" 99.0 (Support.Stats.percentile 99.0 xs);
-  check (Alcotest.float 1e-9) "p100" 100.0 (Support.Stats.percentile 100.0 xs)
-
-let test_stats_minmax_histogram () =
-  check (Alcotest.float 1e-9) "min" 1.0 (Support.Stats.minimum [ 3.0; 1.0; 2.0 ]);
-  check (Alcotest.float 1e-9) "max" 3.0 (Support.Stats.maximum [ 3.0; 1.0; 2.0 ]);
-  let h = Support.Stats.histogram ~buckets:2 ~lo:0.0 ~hi:10.0 [ 1.0; 2.0; 9.0 ] in
-  check (Alcotest.array Alcotest.int) "histogram" [| 2; 1 |] h
-
 (* ---- Pool ---- *)
 
 let test_pool_ordering () =
@@ -216,20 +195,6 @@ let test_pool_nested_calls () =
   check (Alcotest.array Alcotest.int) "nested values" (Array.init 6 (fun i -> (5 * i) + 10)) got;
   Support.Pool.shutdown pool
 
-let test_pool_init_per_worker () =
-  let pool = Support.Pool.create 4 in
-  let inits = Atomic.make 0 in
-  let got =
-    Support.Pool.parmap_init pool
-      ~init:(fun () -> Atomic.incr inits)
-      ~f:(fun () x -> x + 1)
-      (Array.init 64 Fun.id)
-  in
-  check (Alcotest.array Alcotest.int) "values" (Array.init 64 (fun i -> i + 1)) got;
-  let n = Atomic.get inits in
-  check Alcotest.bool "init runs once per participating domain" true (n >= 1 && n <= 4);
-  Support.Pool.shutdown pool
-
 let test_pool_edge_cases () =
   Alcotest.check_raises "size 0 rejected"
     (Invalid_argument "Pool.create: size must be >= 1") (fun () ->
@@ -243,22 +208,6 @@ let test_pool_edge_cases () =
   check (Alcotest.list Alcotest.int) "post-shutdown sequential" [ 2; 4 ]
     (Support.Pool.map_list pool (fun x -> 2 * x) [ 1; 2 ]);
   check Alcotest.bool "default_size positive" true (Support.Pool.default_size () >= 1)
-
-let test_pool_init_poison () =
-  let pool = Support.Pool.create 4 in
-  (* A failing init must reach the caller like a task failure — and
-     must not leave the workers wedged or the pool unusable. *)
-  Alcotest.check_raises "worker init failure reaches the caller" (Failure "bad init")
-    (fun () ->
-      ignore
-        (Support.Pool.parmap_init pool
-           ~init:(fun () -> failwith "bad init")
-           ~f:(fun () x -> x)
-           (Array.init 32 Fun.id)));
-  check (Alcotest.array Alcotest.int) "pool usable after poisoned init"
-    (Array.init 8 (fun i -> i + 1))
-    (Support.Pool.parmap_init pool ~init:(fun () -> 1) ~f:( + ) (Array.init 8 Fun.id));
-  Support.Pool.shutdown pool
 
 (* ---- qcheck properties ---- *)
 
@@ -318,20 +267,12 @@ let () =
           Alcotest.test_case "fold and clear" `Quick test_ring_fold_clear;
           QCheck_alcotest.to_alcotest prop_ring_suffix;
         ] );
-      ( "stats",
-        [
-          Alcotest.test_case "mean/stddev" `Quick test_stats_mean_stddev;
-          Alcotest.test_case "percentile" `Quick test_stats_percentile;
-          Alcotest.test_case "minmax/histogram" `Quick test_stats_minmax_histogram;
-        ] );
       ( "pool",
         [
           Alcotest.test_case "parmap ordering" `Quick test_pool_ordering;
           Alcotest.test_case "sequential fallback" `Quick test_pool_sequential_fallback;
           Alcotest.test_case "exception propagation" `Quick test_pool_exception_propagation;
           Alcotest.test_case "nested calls" `Quick test_pool_nested_calls;
-          Alcotest.test_case "per-worker init" `Quick test_pool_init_per_worker;
           Alcotest.test_case "edge cases" `Quick test_pool_edge_cases;
-          Alcotest.test_case "init poisoning" `Quick test_pool_init_poison;
         ] );
     ]
